@@ -8,17 +8,18 @@
 //! statistics all live in [`sia_snn::drive`], so agreement with the
 //! functional runners is structural — the machine adds only the hardware
 //! arithmetic (PE-array passes, ping-pong membrane memory, the
-//! controller's MMIO protocol) and the cycle/traffic accounting.
+//! controller's MMIO protocol) and the cycle/traffic accounting. The
+//! PE-array psums themselves come from the shared INT8 kernels (see
+//! [`crate::spiking_core`]), so even that part of the agreement is
+//! structural.
 
-use crate::aggregation::BnCoefficients;
 use crate::compiler::Program;
 use crate::config::SiaConfig;
 use crate::controller::Controller;
 use crate::memory::PingPongMembranes;
 use crate::report::{CycleReport, LayerCycles};
-use crate::spiking_core::{run_conv_pass_packed, PassRequest, PassScratch};
+use crate::spiking_core::run_layer_pass;
 use sia_fixed::sat::add16;
-use sia_fixed::Q8_8;
 use sia_snn::encode::EventStream;
 use sia_snn::neuron::step_int;
 use sia_snn::scratch::scratch_resize;
@@ -72,18 +73,6 @@ impl MachineRun {
     }
 }
 
-/// Per-layer execution state while the driver sweeps the layer's timesteps:
-/// the accounting row plus the hardware blocks the layer occupies.
-#[derive(Clone, Debug)]
-struct ActiveLayer {
-    cycles: LayerCycles,
-    mem: Option<PingPongMembranes>,
-    bn: Option<BnCoefficients>,
-    /// Kernel groups `(start_channel, size)` — §III-B: output channels are
-    /// processed in groups of at most `pe_count`.
-    groups: Vec<(usize, usize)>,
-}
-
 /// The accelerator executor.
 #[derive(Debug)]
 pub struct SiaMachine {
@@ -92,11 +81,14 @@ pub struct SiaMachine {
     controller: Controller,
     // per-run state, reset by `begin_run`
     report: CycleReport,
-    /// One slot per program item, filled by `begin_item` at the run's
-    /// first chunk and drained by `end_item` after the traversal — layers
-    /// stay live across timestep chunks (their ping-pong membrane banks
-    /// carry state from chunk to chunk).
-    active: Vec<Option<ActiveLayer>>,
+    /// One accounting row per program item, filled by `begin_item` at the
+    /// run's first chunk and drained by `end_item` after the traversal —
+    /// layers stay live across timestep chunks.
+    active: Vec<Option<LayerCycles>>,
+    /// Ping-pong membrane banks per program item (`None` for items without
+    /// membranes), resident across runs: `begin_item` re-precharges them,
+    /// and they carry state from chunk to chunk within a run.
+    banks: Vec<Option<PingPongMembranes>>,
     /// Flat per-timestep psum currents awaiting the closing `BlockAdd`
     /// (`run_timesteps` frames of `pending_len` each).
     pending: Vec<i16>,
@@ -107,16 +99,14 @@ pub struct SiaMachine {
     run_timesteps: usize,
     // reusable scratch, retained across runs (zero-allocation hot loop)
     conv: ConvScratch,
-    pass: PassScratch,
-    psums: Vec<i16>,
-    mems: Vec<i16>,
     residual: Vec<i16>,
     arenas: DriveScratch,
     /// PE kernel-row segments `(processed, skipped)` since the last
     /// `stage_taps` — psum-stage segments are reported by the closing
     /// `BlockAdd`, matching the functional runners' tap attribution.
     seg_taps: (u64, u64),
-    /// Psum kernel policy for the PS-side residual convolutions.
+    /// Psum kernel policy for the shared INT8 kernels: the PL conv passes
+    /// and the PS-side residual convolutions.
     policy: KernelPolicy,
 }
 
@@ -154,21 +144,20 @@ impl SiaMachine {
                 ),
             ],
         );
+        let items = program.network.items.len();
         SiaMachine {
             program,
             config,
             controller: Controller::new(),
             report: CycleReport::default(),
             active: Vec::new(),
+            banks: vec![None; items],
             pending: Vec::new(),
             pending_len: 0,
             input_currents: Vec::new(),
             head_acc: Vec::new(),
             run_timesteps: 0,
             conv: ConvScratch::new(),
-            pass: PassScratch::default(),
-            psums: Vec::new(),
-            mems: Vec::new(),
             residual: Vec::new(),
             arenas: DriveScratch::default(),
             seg_taps: (0, 0),
@@ -176,9 +165,10 @@ impl SiaMachine {
         }
     }
 
-    /// Selects the psum kernel policy for PS-side residual convolutions
-    /// (the same calibrated sparse/dense decision the functional runners
-    /// make — see [`sia_snn::KernelPolicy`]).
+    /// Selects the psum kernel policy for the PL conv passes and the
+    /// PS-side residual convolutions (the same calibrated sparse/dense
+    /// decision the functional runners make — see
+    /// [`sia_snn::KernelPolicy`]). Every policy yields the same bits.
     pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
         self.policy = policy;
     }
@@ -255,34 +245,35 @@ impl SiaMachine {
 }
 
 /// Where a PL conv timestep delivers its result: spikes into a packed
-/// plane (spiking stage) or batch-normed currents into a pending-psum
-/// frame (psum stage).
+/// plane through the layer's membrane banks (spiking stage) or batch-normed
+/// currents into a pending-psum frame (psum stage).
 enum PlOut<'a> {
-    Spikes(&'a mut SpikePlane),
+    Spikes(&'a mut SpikePlane, &'a mut PingPongMembranes),
     Currents(&'a mut [i16]),
 }
 
 /// The machine state one PL conv timestep works with: configuration, the
-/// controller, the layer's hardware blocks, and the reusable scratch
-/// buffers (bundled so the pass sequence stays a free function without an
+/// controller, the layer's accounting row, and the shared kernel scratch
+/// (bundled so the pass sequence stays a free function without an
 /// unwieldy parameter list).
 struct PlConvCtx<'a> {
     cfg: &'a SiaConfig,
     controller: &'a mut Controller,
-    state: &'a mut ActiveLayer,
-    pass: &'a mut PassScratch,
-    psums: &'a mut Vec<i16>,
-    mems: &'a mut Vec<i16>,
+    cycles: &'a mut LayerCycles,
+    conv: &'a mut ConvScratch,
+    policy: KernelPolicy,
     taps: &'a mut (u64, u64),
 }
 
-/// One PE-array pass sequence for one timestep of a PL conv layer: the PS
-/// programs the register file per kernel group, the controller validates
-/// and starts the pass, the cores run, aggregation spikes (or exports
-/// currents for a psum stage). Works entirely on the bit-packed input
-/// plane and the context's scratch buffers — the warm timestep loop
+/// One PE-array pass sequence for one timestep of PL conv layer `idx`: the
+/// array's psums and segment counts are computed once for all output
+/// channels, then the PS programs the register file per kernel group, the
+/// controller validates and starts the pass, and aggregation spikes (or
+/// exports currents for a psum stage) the group's slice. Works entirely on
+/// the bit-packed input plane and retained scratch — the warm timestep loop
 /// allocates nothing.
 fn pl_conv_timestep(
+    idx: usize,
     c: &SnnConv,
     ctx: &mut PlConvCtx<'_>,
     plane: &SpikePlane,
@@ -292,17 +283,15 @@ fn pl_conv_timestep(
     let (oh, ow) = c.geom.out_hw();
     let per_ch = oh * ow;
     let cfg = ctx.cfg;
-    let ActiveLayer {
-        cycles,
-        mem,
-        bn,
-        groups,
-    } = ctx.state;
-    let bn = bn.as_ref().expect("conv layers carry BN coefficients");
-    if let PlOut::Spikes(o) = &mut out {
+    let cycles = &mut *ctx.cycles;
+    let pass = run_layer_pass(c, plane, cfg, ctx.policy, ctx.conv, idx * 2);
+    if let PlOut::Spikes(o, _) = &mut out {
         o.reset(c.geom.out_channels, oh, ow);
     }
-    for &(start, size) in groups.iter() {
+    // §III-B: output channels are processed in kernel groups of at most
+    // `pe_count`
+    for start in (0..c.geom.out_channels).step_by(cfg.pe_count()) {
+        let size = (c.geom.out_channels - start).min(cfg.pe_count());
         // §III-C: the PS programs the register file and starts the pass; the
         // controller validates the image before the cores run. A compiled
         // program can never produce a bad image.
@@ -311,60 +300,45 @@ fn pl_conv_timestep(
         ctx.controller
             .start(cfg.pe_count())
             .expect("compiled programs produce valid register images");
-        let pass = run_conv_pass_packed(
-            &PassRequest {
-                geom: &c.geom,
-                weights: &c.weights,
-                group_start: start,
-                group_size: size,
-            },
-            plane,
-            cfg,
-            ctx.pass,
-            ctx.psums,
-        );
+        let (psums, stats) = pass.group(start, size);
         ctx.controller.finish(); // per-pass done interrupt
-        cycles.compute_cycles += pass.cycles + cfg.aggregation_pipeline_depth;
-        cycles.active_pe_cycles += pass.active_pe_cycles;
-        cycles.ops += pass.active_pe_cycles * cfg.ops_per_pe_cycle;
+        cycles.compute_cycles += stats.cycles + cfg.aggregation_pipeline_depth;
+        cycles.active_pe_cycles += stats.active_pe_cycles;
+        cycles.ops += stats.active_pe_cycles * cfg.ops_per_pe_cycle;
         // what a dense schedule would have cost: every segment, processed
         // or skipped, at the full group width
-        cycles.nominal_ops +=
-            (pass.processed_segments + pass.skipped_segments) * size as u64 * cfg.ops_per_pe_cycle;
-        ctx.taps.0 += pass.processed_segments;
-        ctx.taps.1 += pass.skipped_segments;
-        sia_telemetry::counter!("accel.pe.active_cycles", pass.active_pe_cycles);
-        sia_telemetry::counter!("accel.pe.segments_processed", pass.processed_segments);
-        sia_telemetry::counter!("accel.pe.segments_skipped", pass.skipped_segments);
+        cycles.nominal_ops += (stats.processed_segments + stats.skipped_segments)
+            * size as u64
+            * cfg.ops_per_pe_cycle;
+        ctx.taps.0 += stats.processed_segments;
+        ctx.taps.1 += stats.skipped_segments;
+        sia_telemetry::counter!("accel.pe.active_cycles", stats.active_pe_cycles);
+        sia_telemetry::counter!("accel.pe.segments_processed", stats.processed_segments);
+        sia_telemetry::counter!("accel.pe.segments_skipped", stats.skipped_segments);
+        let base = start * per_ch;
         match &mut out {
-            PlOut::Spikes(o) => {
-                let mem = mem.as_mut().expect("spiking conv has membranes");
-                scratch_resize(ctx.mems, size * per_ch, 0);
-                for (j, m) in ctx.mems.iter_mut().enumerate() {
-                    *m = mem.read(start * per_ch + j);
-                }
+            PlOut::Spikes(o, mem) => {
                 // aggregation tile (BN + IF/LIF), overlapped with the
                 // spiking core except the pipeline fill counted above
-                for (j, (&p, u)) in ctx.psums.iter().zip(ctx.mems.iter_mut()).enumerate() {
-                    let current = bn.apply(p, start + j / per_ch);
-                    if step_int(u, current, c.theta, c.mode) {
-                        o.set_linear(start * per_ch + j);
+                for (j, &p) in psums.iter().enumerate() {
+                    let ch = start + j / per_ch;
+                    let mut u = mem.read(base + j);
+                    if step_int(&mut u, add16(c.g[ch].mul_int(p), c.h[ch]), c.theta, c.mode) {
+                        o.set_linear(base + j);
                         cycles.spikes += 1;
                     }
-                }
-                for (j, &u) in ctx.mems.iter().enumerate() {
-                    mem.write(start * per_ch + j, u);
+                    mem.write(base + j, u);
                 }
             }
             PlOut::Currents(o) => {
-                for (j, &p) in ctx.psums.iter().enumerate() {
-                    o[start * per_ch + j] = bn.apply(p, start + j / per_ch);
+                for (j, &p) in psums.iter().enumerate() {
+                    let ch = start + j / per_ch;
+                    o[base + j] = add16(c.g[ch].mul_int(p), c.h[ch]);
                 }
             }
         }
     }
-    if matches!(out, PlOut::Spikes(_)) {
-        let mem = mem.as_mut().expect("spiking conv has membranes");
+    if let PlOut::Spikes(_, mem) = out {
         mem.toggle();
         sia_telemetry::counter!("accel.pingpong.switches", 1);
     }
@@ -411,54 +385,31 @@ impl Engine for SiaMachine {
             overlapped: lp.on_pl,
             ..LayerCycles::default()
         };
-        let (mem, bn, groups) = match &self.program.network.items[idx] {
+        // (pre-charge value, neurons) of the item's membrane banks
+        let membranes = match &self.program.network.items[idx] {
             SnnItem::InputConv(c) => {
                 // dense frame conversion runs on the PS once per image
                 cycles.compute_cycles += (c.geom.macs() as f64 * cfg.ps_cycles_per_mac) as u64;
                 cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                let neurons = c.out_neurons();
-                let mut mem = PingPongMembranes::new(cfg.membrane_mem_bytes.max(neurons * 4));
-                mem.precharge(c.theta / 2, neurons);
-                (Some(mem), None, Vec::new())
+                Some((c.theta / 2, c.out_neurons()))
             }
-            SnnItem::Conv(c) | SnnItem::ConvPsum(c) => {
+            SnnItem::Conv(c) => {
                 cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                let mut groups = Vec::new();
-                let mut start = 0;
-                while start < c.geom.out_channels {
-                    let size = (c.geom.out_channels - start).min(cfg.pe_count());
-                    groups.push((start, size));
-                    start += size;
-                }
-                let bn = BnCoefficients {
-                    g: c.g.clone(),
-                    h: c.h.clone(),
-                };
-                let mem = if matches!(&self.program.network.items[idx], SnnItem::Conv(_)) {
-                    let neurons = c.out_neurons();
-                    let mut mem = PingPongMembranes::new(cfg.membrane_mem_bytes.max(neurons * 4));
-                    mem.precharge(c.theta / 2, neurons);
-                    Some(mem)
-                } else {
-                    None // psum stage: currents bypass the membrane banks
-                };
-                (mem, Some(bn), groups)
+                Some((c.theta / 2, c.out_neurons()))
+            }
+            SnnItem::ConvPsum(_) => {
+                cycles.overhead_cycles = cfg.layer_overhead_cycles;
+                None // psum stage: currents bypass the membrane banks
             }
             SnnItem::BlockAdd(a) => {
                 cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                let mut mem = PingPongMembranes::new(cfg.membrane_mem_bytes.max(a.neurons() * 4));
-                mem.precharge(a.theta / 2, a.neurons());
-                let identity_bn = BnCoefficients {
-                    g: vec![Q8_8::ONE],
-                    h: vec![0],
-                };
-                (Some(mem), Some(identity_bn), Vec::new())
+                Some((a.theta / 2, a.neurons()))
             }
             SnnItem::MaxPoolOr { channels, h, w } => {
                 // one OR gate per output per timestep, fully parallel in
                 // the PL: a handful of cycles, dominated by streaming
                 cycles.compute_cycles += (channels * h * w / 4) as u64 / 16;
-                (None, None, Vec::new())
+                None
             }
             SnnItem::Head(l) => {
                 cycles.overhead_cycles = cfg.layer_overhead_cycles;
@@ -466,22 +417,23 @@ impl Engine for SiaMachine {
                                            // per-timestep PS compute is priced in `end_item`, once the
                                            // executed timestep count (early exit!) is known
                 scratch_resize(&mut self.head_acc, l.out, 0);
-                (None, None, Vec::new())
+                None
             }
-            SnnItem::BlockStart => (None, None, Vec::new()),
+            SnnItem::BlockStart => None,
         };
-        self.active[idx] = Some(ActiveLayer {
-            cycles,
-            mem,
-            bn,
-            groups,
-        });
+        if let Some((u0, neurons)) = membranes {
+            self.banks[idx]
+                .get_or_insert_with(|| {
+                    PingPongMembranes::new(cfg.membrane_mem_bytes.max(neurons * 4))
+                })
+                .precharge(u0, neurons);
+        }
+        self.active[idx] = Some(cycles);
     }
 
     fn end_item(&mut self, idx: usize, executed: usize) {
         let lp = &self.program.layers[idx];
-        let state = self.active[idx].take().expect("begin_item ran");
-        let mut cycles = state.cycles;
+        let mut cycles = self.active[idx].take().expect("begin_item ran");
         if let SnnItem::Head(l) = &self.program.network.items[idx] {
             // one INT8 GEMV over the spike accumulators per executed
             // timestep — an early exit skips the remaining readouts
@@ -551,14 +503,15 @@ impl Engine for SiaMachine {
         let SiaMachine {
             program,
             active,
+            banks,
             input_currents,
             ..
         } = self;
         let SnnItem::InputConv(c) = &program.network.items[idx] else {
             unreachable!("step_input_conv on a non-input item")
         };
-        let ActiveLayer { cycles, mem, .. } = active[idx].as_mut().expect("begin_item ran");
-        let mem = mem.as_mut().expect("input conv has membranes");
+        let cycles = active[idx].as_mut().expect("begin_item ran");
+        let mem = banks[idx].as_mut().expect("input conv has membranes");
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
         for (i, &cur) in input_currents.iter().enumerate() {
@@ -580,11 +533,11 @@ impl Engine for SiaMachine {
             config,
             controller,
             active,
+            banks,
             run_timesteps,
-            pass,
-            psums,
-            mems,
+            conv,
             seg_taps,
+            policy,
             ..
         } = self;
         let SnnItem::Conv(c) = &program.network.items[idx] else {
@@ -593,13 +546,20 @@ impl Engine for SiaMachine {
         let mut ctx = PlConvCtx {
             cfg: config,
             controller,
-            state: active[idx].as_mut().expect("begin_item ran"),
-            pass,
-            psums,
-            mems,
+            cycles: active[idx].as_mut().expect("begin_item ran"),
+            conv,
+            policy: *policy,
             taps: seg_taps,
         };
-        pl_conv_timestep(c, &mut ctx, spikes, *run_timesteps, PlOut::Spikes(out));
+        let mem = banks[idx].as_mut().expect("spiking conv has membranes");
+        pl_conv_timestep(
+            idx,
+            c,
+            &mut ctx,
+            spikes,
+            *run_timesteps,
+            PlOut::Spikes(out, mem),
+        );
     }
 
     fn step_conv_psum(&mut self, idx: usize, spikes: &SpikePlane, t: usize) {
@@ -611,10 +571,9 @@ impl Engine for SiaMachine {
             pending,
             pending_len,
             run_timesteps,
-            pass,
-            psums,
-            mems,
+            conv,
             seg_taps,
+            policy,
             ..
         } = self;
         let SnnItem::ConvPsum(c) = &program.network.items[idx] else {
@@ -632,13 +591,19 @@ impl Engine for SiaMachine {
         let mut ctx = PlConvCtx {
             cfg: config,
             controller,
-            state: active[idx].as_mut().expect("begin_item ran"),
-            pass,
-            psums,
-            mems,
+            cycles: active[idx].as_mut().expect("begin_item ran"),
+            conv,
+            policy: *policy,
             taps: seg_taps,
         };
-        pl_conv_timestep(c, &mut ctx, spikes, *run_timesteps, PlOut::Currents(frame));
+        pl_conv_timestep(
+            idx,
+            c,
+            &mut ctx,
+            spikes,
+            *run_timesteps,
+            PlOut::Currents(frame),
+        );
     }
 
     fn step_block_add(&mut self, idx: usize, skip: &SpikePlane, t: usize, out: &mut SpikePlane) {
@@ -646,10 +611,10 @@ impl Engine for SiaMachine {
             program,
             config,
             active,
+            banks,
             pending,
             pending_len,
             conv,
-            mems,
             residual,
             policy,
             ..
@@ -693,25 +658,17 @@ impl Engine for SiaMachine {
                 }
             }
         }
-        let ActiveLayer {
-            cycles, mem, bn, ..
-        } = active[idx].as_mut().expect("begin_item ran");
-        let mem = mem.as_mut().expect("block add has membranes");
-        let bn = bn.as_ref().expect("block add carries identity BN");
-        scratch_resize(mems, n, 0);
-        for (i, m) in mems.iter_mut().enumerate() {
-            *m = mem.read(i);
-        }
+        let cycles = active[idx].as_mut().expect("begin_item ran");
+        let mem = banks[idx].as_mut().expect("block add has membranes");
         out.reset(a.channels, a.h, a.w);
-        // aggregation tile over the accumulated currents (identity BN)
-        for (i, (&total, u)) in residual.iter().zip(mems.iter_mut()).enumerate() {
-            let current = bn.apply(total, 0);
-            if step_int(u, current, a.theta, a.mode) {
+        // aggregation tile over the accumulated currents (identity BN:
+        // G = 1.0, H = 0 passes every current through unchanged)
+        for (i, &total) in residual.iter().enumerate() {
+            let mut u = mem.read(i);
+            if step_int(&mut u, total, a.theta, a.mode) {
                 out.set_linear(i);
                 cycles.spikes += 1;
             }
-        }
-        for (i, &u) in mems.iter().enumerate() {
             mem.write(i, u);
         }
         mem.toggle();

@@ -8,11 +8,29 @@
 //! whose spike taps are all zero are **skipped without spending a cycle** —
 //! the event-driven saving that lets every equal-MAC conv layer of Table I
 //! finish in ≈ 0.9 ms instead of the ≈ 2 ms a dense schedule would need.
+//!
+//! Two implementations of that schedule live here:
+//!
+//! * [`run_layer_pass`] — what the machine executes. The psums of all
+//!   `C_out` channels come from one call to the shared word-parallel INT8
+//!   kernels of [`sia_snn::sparse`]; each PE folds its saturating adds in
+//!   `(ci, ky, kx)` order and so does the kernel for every output, so the
+//!   PE-array psums are the kernel's psums bit for bit. The segment counts
+//!   depend only on the input plane and the geometry, so they are counted
+//!   once per layer-timestep, word-parallel, and every
+//!   kernel group derives its cycle figures from them
+//!   ([`LayerPass::group`]).
+//! * [`run_conv_pass`] — the per-PE reference oracle: it walks every
+//!   pixel, row and segment, gathers the segment's spike bits and clocks
+//!   each [`ProcessingElement`] of the group. Tests, the table and
+//!   ablation binaries, and the kernel-reconfiguration example use it; the
+//!   oracle proptest pins [`run_layer_pass`] to it group by group.
 
 use crate::config::SiaConfig;
 use crate::pe::ProcessingElement;
-use sia_snn::scratch::scratch_resize;
+use sia_snn::network::SnnConv;
 use sia_snn::spikeplane::SpikePlane;
+use sia_snn::{conv_psums_int_scatter, conv_psums_int_tiled, ConvScratch, KernelPolicy};
 use sia_tensor::Conv2dGeom;
 
 /// Result of one convolution pass (one kernel group over all output pixels,
@@ -31,8 +49,7 @@ pub struct ConvPassOutput {
     pub processed_segments: u64,
 }
 
-/// Cycle accounting of one packed convolution pass (the psums land in the
-/// caller's scratch buffer).
+/// Cycle accounting of one kernel-group pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConvPassStats {
     /// Clock cycles spent by the spiking core.
@@ -45,65 +62,103 @@ pub struct ConvPassStats {
     pub processed_segments: u64,
 }
 
-/// What to run: one kernel group of one layer (§III-B — output channels are
-/// processed in groups of at most the PE count).
+/// Kernel-row segments one pass over an input plane processes and skips.
+/// Every kernel group of a layer scans the same segments, so one count
+/// serves all of them.
 #[derive(Clone, Copy, Debug)]
-pub struct PassRequest<'a> {
-    /// Convolution geometry.
-    pub geom: &'a Conv2dGeom,
-    /// Full layer weight tensor `[C_out, C_in, K, K]` (INT8 codes).
-    pub weights: &'a [i8],
-    /// First output channel of the group.
-    pub group_start: usize,
-    /// Channels in the group (≤ PE count).
-    pub group_size: usize,
+struct SegmentCounts {
+    /// Segments with at least one set spike tap (one cycle each).
+    processed: u64,
+    /// Segments whose taps are all zero, padding included (no cycle).
+    skipped: u64,
 }
 
-/// Reusable buffers of the spiking core, retained across passes so a warm
-/// timestep loop performs no heap allocations.
-#[derive(Clone, Debug, Default)]
-pub struct PassScratch {
-    pes: Vec<ProcessingElement>,
-    seg_weights: Vec<i8>,
-    seg_spikes: Vec<bool>,
+/// One layer-timestep of the PE array: the psums of every output channel
+/// and the segment counts every kernel group shares.
+#[derive(Clone, Copy, Debug)]
+pub struct LayerPass<'a> {
+    /// Partial sums, `[C_out, OH, OW]` row-major.
+    psums: &'a [i16],
+    /// Segment counts of one kernel-group pass.
+    segments: SegmentCounts,
+    /// Output pixels per channel (`OH · OW`).
+    pixels: usize,
 }
 
-/// Runs one timestep of a spiking convolution over a bit-packed input
-/// plane, writing the group's partial sums (`[group_size, OH, OW]`
-/// row-major) into `psums`.
+impl LayerPass<'_> {
+    /// Psums (`[size, OH, OW]`) and cycle accounting of the kernel group
+    /// `start .. start + size` — what [`run_conv_pass`] returns for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group range exceeds `C_out`.
+    #[must_use]
+    pub fn group(&self, start: usize, size: usize) -> (&[i16], ConvPassStats) {
+        let SegmentCounts { processed, skipped } = self.segments;
+        let stats = ConvPassStats {
+            // one cycle per processed segment + one handoff per pixel
+            cycles: processed + self.pixels as u64,
+            active_pe_cycles: processed * size as u64,
+            skipped_segments: skipped,
+            processed_segments: processed,
+        };
+        let psums = &self.psums[start * self.pixels..(start + size) * self.pixels];
+        (psums, stats)
+    }
+}
+
+/// Runs one timestep of a spiking convolution on the PE array for all
+/// output channels of `conv`: psums from the shared INT8 kernel `policy`
+/// selects (`key` names the layer in the scratch's transposed-weight
+/// cache), segment counts from `count_segments`.
 ///
-/// The segment gather reads `taps_per_cycle` spike bits at once from the
-/// packed words ([`SpikePlane::extract_bits`], out-of-bounds taps read 0 —
-/// the padding semantics), so the event-driven skip decision is a single
-/// compare against zero. Skip decisions, cycle counts and psums are
-/// identical to the byte-wise [`run_conv_pass`], which wraps this.
+/// The kernel entries used here do no tap accounting, so `scratch` may be
+/// shared with convolutions whose kernel taps are reported: a PL stage
+/// reports PE segments only.
 ///
 /// # Panics
 ///
-/// Panics if the group exceeds the PE count, the group range exceeds
-/// `C_out`, the weight buffer disagrees with `geom`, or the plane shape
-/// mismatches `geom`'s input.
-pub fn run_conv_pass_packed(
-    req: &PassRequest<'_>,
+/// Panics if the plane shape mismatches `conv`'s input geometry.
+pub fn run_layer_pass<'a>(
+    conv: &SnnConv,
     plane: &SpikePlane,
     config: &SiaConfig,
-    scratch: &mut PassScratch,
-    psums: &mut Vec<i16>,
-) -> ConvPassStats {
-    let geom = req.geom;
-    assert!(
-        req.group_size <= config.pe_count(),
-        "kernel group exceeds PE array"
-    );
-    assert!(
-        req.group_start + req.group_size <= geom.out_channels,
-        "kernel group out of range"
-    );
-    assert_eq!(
-        req.weights.len(),
-        geom.weight_count(),
-        "weight buffer size mismatch"
-    );
+    policy: KernelPolicy,
+    scratch: &'a mut ConvScratch,
+    key: usize,
+) -> LayerPass<'a> {
+    let g = &conv.geom;
+    let (oh, ow) = g.out_hw();
+    let segments = count_segments(g, plane, config.taps_per_cycle);
+    let psums = if policy.picks_sparse(g, plane.count_ones(), g.out_channels * oh * ow) {
+        conv_psums_int_scatter(conv, plane, scratch, key)
+    } else {
+        conv_psums_int_tiled(conv, plane, scratch, key)
+    };
+    LayerPass {
+        psums,
+        segments,
+        pixels: oh * ow,
+    }
+}
+
+/// Counts the kernel-row segments one PE-array pass over `plane`
+/// processes and skips, word-parallel (once per layer-timestep).
+///
+/// Output pixel `(oy, ox)` reads segment `(ky, kx0)` of channel `ci` from
+/// input row `iy = oy·s + ky − p`, columns `ox·s + kx0 − p ..` plus
+/// `seg` taps. For one input row and segment, OR-ing the `seg` shifted
+/// copies of the packed row gives a word whose bit `q` says whether the
+/// segment starting at padded column `q` holds a spike; masking the bits
+/// output pixels sample (`q = ox·s`) and popcounting counts that row's
+/// processed segments for every output column at once. Each input row is
+/// read by a fixed number of `(oy, ky)` pairs, which multiplies its count;
+/// rows above or below the plane are padding and always skipped.
+///
+/// # Panics
+///
+/// Panics if the plane shape mismatches `geom`'s input.
+fn count_segments(geom: &Conv2dGeom, plane: &SpikePlane, taps_per_cycle: usize) -> SegmentCounts {
     assert!(
         plane.channels() == geom.in_channels
             && plane.height() == geom.in_h
@@ -111,74 +166,79 @@ pub fn run_conv_pass_packed(
         "spike plane shape mismatches conv geometry"
     );
     let (oh, ow) = geom.out_hw();
-    let k = geom.kernel;
-    let taps = config.taps_per_cycle;
-    let PassScratch {
-        pes,
-        seg_weights,
-        seg_spikes,
-    } = scratch;
-    pes.clear();
-    pes.resize(req.group_size, ProcessingElement::new());
-    scratch_resize(psums, req.group_size * oh * ow, 0);
-    let mut stats = ConvPassStats::default();
-    for oy in 0..oh {
-        for ox in 0..ow {
-            for pe in pes.iter_mut() {
-                pe.clear();
-            }
+    let (k, s, p) = (geom.kernel, geom.stride, geom.padding);
+    let total = (oh * ow * geom.in_channels * k * k.div_ceil(taps_per_cycle)) as u64;
+    // sampled padded columns q = ox·s span this many words (ow ≥ 1)
+    let words = (s * (ow - 1) + 1).div_ceil(64);
+    let mut processed = 0u64;
+    for iy in 0..geom.in_h {
+        // (oy, ky) pairs whose kernel row lands on input row iy
+        let t = iy + p;
+        let uses = (0..k)
+            .filter(|&ky| t >= ky && (t - ky) % s == 0 && (t - ky) / s < oh)
+            .count() as u64;
+        if uses == 0 {
+            continue;
+        }
+        for j in 0..words {
+            let sample = sample_word(j, s, ow);
+            let lo = (64 * j) as isize - p as isize;
+            let mut hits = 0u64;
             for ci in 0..geom.in_channels {
-                for ky in 0..k {
-                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                    let mut kx = 0usize;
-                    while kx < k {
-                        let seg = (k - kx).min(taps);
-                        let ix0 = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                        // all `seg` spike taps in one packed read
-                        let bits = plane.extract_bits(ci, iy, ix0, seg);
-                        if bits != 0 {
-                            // one cycle: every PE in the group accumulates
-                            stats.cycles += 1;
-                            stats.active_pe_cycles += req.group_size as u64;
-                            stats.processed_segments += 1;
-                            seg_spikes.clear();
-                            for dx in 0..seg {
-                                seg_spikes.push(bits >> dx & 1 != 0);
-                            }
-                            for (p, pe) in pes.iter_mut().enumerate() {
-                                let co = req.group_start + p;
-                                seg_weights.clear();
-                                for dx in 0..seg {
-                                    let widx =
-                                        ((co * geom.in_channels + ci) * k + ky) * k + (kx + dx);
-                                    seg_weights.push(req.weights[widx]);
-                                }
-                                pe.accumulate_row(seg_weights, seg_spikes);
-                            }
-                        } else {
-                            stats.skipped_segments += 1;
-                        }
-                        kx += seg;
-                    }
+                let row = plane.row(ci, iy);
+                for kx0 in (0..k).step_by(taps_per_cycle) {
+                    let seg = taps_per_cycle.min(k - kx0);
+                    let occupied = (kx0..kx0 + seg)
+                        .fold(0u64, |acc, kx| acc | row_window(row, lo + kx as isize));
+                    hits += u64::from((occupied & sample).count_ones());
                 }
             }
-            // final handoff cycle to the aggregation core
-            stats.cycles += 1;
-            for (p, pe) in pes.iter_mut().enumerate() {
-                psums[(p * oh + oy) * ow + ox] = pe.take_psum();
-            }
+            processed += uses * hits;
         }
     }
-    stats
+    SegmentCounts {
+        processed,
+        skipped: total - processed,
+    }
+}
+
+/// Bits `lo .. lo + 64` of a packed row, LSB = column `lo`; columns outside
+/// the row read 0 (the padding semantics of [`SpikePlane::extract_bits`]).
+fn row_window(row: &[u64], lo: isize) -> u64 {
+    let word = |i: isize| {
+        usize::try_from(i)
+            .ok()
+            .and_then(|i| row.get(i))
+            .copied()
+            .unwrap_or(0)
+    };
+    let (wi, bit) = (lo.div_euclid(64), lo.rem_euclid(64) as u32);
+    if bit == 0 {
+        word(wi)
+    } else {
+        // 1 ≤ bit ≤ 63: neither shift reaches the word width
+        (word(wi) >> bit) | (word(wi + 1) << (64 - bit))
+    }
+}
+
+/// Word `j` of the sample mask: bit `q − 64j` set for every sampled padded
+/// column `q = ox·s`, `ox < ow`.
+fn sample_word(j: usize, s: usize, ow: usize) -> u64 {
+    let base = 64 * j;
+    let first = base.div_ceil(s);
+    let end = ow.min((base + 64).div_ceil(s));
+    (first..end).fold(0u64, |m, ox| m | 1u64 << (ox * s - base))
 }
 
 /// Runs one timestep of a spiking convolution for output channels
-/// `group_start .. group_start + group_size`.
+/// `group_start .. group_start + group_size` on the per-PE model — the
+/// reference oracle of [`run_layer_pass`].
 ///
 /// `weights` is the full layer tensor `[C_out, C_in, K, K]` (INT8 codes);
-/// `spikes` the input bitmap `[C_in, H, W]`. Byte-slice convenience wrapper
-/// over [`run_conv_pass_packed`] (which the machine's hot loop calls
-/// directly to avoid the packing and allocations).
+/// `spikes` the input bitmap `[C_in, H, W]`. Each segment's spike taps are
+/// gathered in one packed read ([`SpikePlane::extract_bits`], out-of-bounds
+/// taps read 0 — the padding semantics); a non-zero segment costs one
+/// cycle in which every PE of the group accumulates its own weights.
 ///
 /// # Panics
 ///
@@ -193,6 +253,19 @@ pub fn run_conv_pass(
     spikes: &[u8],
     config: &SiaConfig,
 ) -> ConvPassOutput {
+    assert!(
+        group_size <= config.pe_count(),
+        "kernel group exceeds PE array"
+    );
+    assert!(
+        group_start + group_size <= geom.out_channels,
+        "kernel group out of range"
+    );
+    assert_eq!(
+        weights.len(),
+        geom.weight_count(),
+        "weight buffer size mismatch"
+    );
     assert_eq!(
         spikes.len(),
         geom.in_channels * geom.in_h * geom.in_w,
@@ -200,27 +273,55 @@ pub fn run_conv_pass(
     );
     let mut plane = SpikePlane::default();
     plane.pack_from_bytes(geom.in_channels, geom.in_h, geom.in_w, spikes);
-    let mut scratch = PassScratch::default();
-    let mut psums = Vec::new();
-    let stats = run_conv_pass_packed(
-        &PassRequest {
-            geom,
-            weights,
-            group_start,
-            group_size,
-        },
-        &plane,
-        config,
-        &mut scratch,
-        &mut psums,
-    );
-    ConvPassOutput {
-        psums,
-        cycles: stats.cycles,
-        active_pe_cycles: stats.active_pe_cycles,
-        skipped_segments: stats.skipped_segments,
-        processed_segments: stats.processed_segments,
+    let (oh, ow) = geom.out_hw();
+    let k = geom.kernel;
+    let taps = config.taps_per_cycle;
+    let mut pes = vec![ProcessingElement::new(); group_size];
+    let mut out = ConvPassOutput {
+        psums: vec![0; group_size * oh * ow],
+        cycles: 0,
+        active_pe_cycles: 0,
+        skipped_segments: 0,
+        processed_segments: 0,
+    };
+    for oy in 0..oh {
+        for ox in 0..ow {
+            for ci in 0..geom.in_channels {
+                for ky in 0..k {
+                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
+                    let mut kx = 0usize;
+                    while kx < k {
+                        let seg = (k - kx).min(taps);
+                        let ix0 = (ox * geom.stride + kx) as isize - geom.padding as isize;
+                        // all `seg` spike taps in one packed read
+                        let bits = plane.extract_bits(ci, iy, ix0, seg);
+                        if bits != 0 {
+                            // one cycle: every PE in the group accumulates
+                            out.cycles += 1;
+                            out.active_pe_cycles += group_size as u64;
+                            out.processed_segments += 1;
+                            let seg_spikes: Vec<bool> =
+                                (0..seg).map(|dx| bits >> dx & 1 != 0).collect();
+                            for (p, pe) in pes.iter_mut().enumerate() {
+                                let co = group_start + p;
+                                let row = ((co * geom.in_channels + ci) * k + ky) * k;
+                                pe.accumulate_row(&weights[row + kx..row + kx + seg], &seg_spikes);
+                            }
+                        } else {
+                            out.skipped_segments += 1;
+                        }
+                        kx += seg;
+                    }
+                }
+            }
+            // final handoff cycle to the aggregation core
+            out.cycles += 1;
+            for (p, pe) in pes.iter_mut().enumerate() {
+                out.psums[(p * oh + oy) * ow + ox] = pe.take_psum();
+            }
+        }
     }
+    out
 }
 
 /// Cycle cost of one timestep of a fully-connected pass (the PE array in FC
@@ -403,6 +504,27 @@ mod tests {
         let w = pattern_weights(g.weight_count());
         let s = vec![0u8; 16];
         let _ = run_conv_pass(&g, &w, 0, 128, &s, &SiaConfig::pynq_z2());
+    }
+
+    #[test]
+    fn row_window_reads_outside_columns_as_zero() {
+        let row = [u64::MAX, 0b101];
+        assert_eq!(row_window(&row, 0), u64::MAX);
+        assert_eq!(row_window(&row, -3), u64::MAX << 3);
+        assert_eq!(row_window(&row, 62), 0b10111); // straddles both words
+        assert_eq!(row_window(&row, 64), 0b101);
+        assert_eq!(row_window(&row, -64), 0);
+        assert_eq!(row_window(&row, 128), 0);
+    }
+
+    #[test]
+    fn sample_word_marks_strided_output_columns() {
+        assert_eq!(sample_word(0, 1, 5), 0b11111);
+        assert_eq!(sample_word(0, 2, 3), 0b10101);
+        // stride 2 over 40 outputs: columns 0 ..= 78 step 2, 8 of them
+        // in the second word
+        assert_eq!(sample_word(1, 2, 40), 0x5555);
+        assert_eq!(sample_word(2, 1, 100), 0);
     }
 
     #[test]

@@ -7,9 +7,15 @@
 
 #![cfg(feature = "telemetry")]
 
+use sia_accel::spiking_core::run_conv_pass;
 use sia_accel::{compile_for, SiaConfig, SiaMachine};
+use sia_fixed::sat::add16;
+use sia_fixed::QuantScale;
 use sia_nn::{ActSpec, ConvSpec, LinearSpec, NetworkSpec, SpecItem};
-use sia_snn::{convert, ConvertOptions, IntRunner};
+use sia_snn::encode::encode_image;
+use sia_snn::network::ConvInput;
+use sia_snn::neuron::step_int;
+use sia_snn::{conv_psums_dense, convert, ConvertOptions, IntRunner, SnnItem};
 use sia_telemetry::json::{parse, Json};
 use sia_tensor::{Conv2dGeom, Tensor};
 use std::sync::Mutex;
@@ -179,6 +185,99 @@ fn live_events_reconcile_with_cycle_report() {
     // ping-pong banks switch once per (spiking layer, timestep)
     let spiking_layers = 2 /* input conv + PL conv */;
     assert_eq!(delta("accel.pingpong.switches"), spiking_layers * 4);
+}
+
+/// The PE-array accounting the machine reports — the PL stage's taps in
+/// its `snn.stage` event, the `accel.pe.*` counters and the conv layer's
+/// `CycleReport` row — equals the sum of per-PE oracle passes over the
+/// stage's real input spikes. A PL stage reports PE segments only, so
+/// kernel taps leaking into the stage count fail here.
+#[test]
+fn pe_accounting_equals_oracle_passes() {
+    let _guard = sink_lock();
+    let net = convert(&spec(), &ConvertOptions::default());
+    let cfg = SiaConfig::pynq_z2();
+    let timesteps = 4;
+    let (SnnItem::InputConv(c1), SnnItem::Conv(c2)) = (&net.items[0], &net.items[1]) else {
+        panic!("spec starts with the input conv and one PL conv")
+    };
+    let ConvInput::Dense { scale } = c1.input else {
+        panic!("first layer is dense-input")
+    };
+
+    // the PL conv's input per timestep: the input conv's IF neurons driven
+    // by their constant batch-normed currents from a θ/2 pre-charge
+    let psums = conv_psums_dense(
+        c1,
+        &encode_image(&image(), QuantScale::for_max_abs(scale * 127.0)),
+    );
+    let per_ch = psums.len() / c1.geom.out_channels;
+    let mut membranes = vec![c1.theta / 2; psums.len()];
+    let mut input_spikes = 0u64;
+    let (mut processed, mut skipped, mut active, mut cycles, mut nominal) = (0, 0, 0, 0, 0);
+    for _ in 0..timesteps {
+        let spikes: Vec<u8> = psums
+            .iter()
+            .zip(membranes.iter_mut())
+            .enumerate()
+            .map(|(i, (&p, u))| {
+                let cur = add16(c1.g[i / per_ch].mul_int_wide(p), c1.h[i / per_ch]);
+                u8::from(step_int(u, cur, c1.theta, c1.mode))
+            })
+            .collect();
+        input_spikes += spikes.iter().map(|&b| u64::from(b)).sum::<u64>();
+        for start in (0..c2.geom.out_channels).step_by(cfg.pe_count()) {
+            let size = (c2.geom.out_channels - start).min(cfg.pe_count());
+            let pass = run_conv_pass(&c2.geom, &c2.weights, start, size, &spikes, &cfg);
+            processed += pass.processed_segments;
+            skipped += pass.skipped_segments;
+            active += pass.active_pe_cycles;
+            cycles += pass.cycles + cfg.aggregation_pipeline_depth;
+            nominal += (pass.processed_segments + pass.skipped_segments) * size as u64;
+        }
+    }
+    assert!(
+        processed > 0 && skipped > 0,
+        "the input must be neither silent nor full"
+    );
+
+    let mut machine = SiaMachine::new(compile_for(&net, &cfg, timesteps).unwrap(), cfg.clone());
+    let before = sia_telemetry::snapshot();
+    sia_telemetry::install_jsonl(None).unwrap();
+    let run = machine.run(&image(), timesteps);
+    let bytes = sia_telemetry::uninstall_jsonl();
+    let after = sia_telemetry::snapshot();
+    assert_eq!(run.stats.spikes[0], input_spikes, "oracle input diverged");
+
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("accel.pe.segments_processed"), processed);
+    assert_eq!(delta("accel.pe.segments_skipped"), skipped);
+    assert_eq!(delta("accel.pe.active_cycles"), active);
+
+    let text = String::from_utf8(bytes).expect("sink produced non-UTF8");
+    let stage = text
+        .lines()
+        .filter_map(|l| parse(l).ok())
+        .find(|e| {
+            e.get("ev").and_then(Json::as_str) == Some("snn.stage")
+                && e.get("name").and_then(Json::as_str) == Some(run.stats.names[1].as_str())
+        })
+        .expect("the PL conv stage emits its snn.stage event");
+    let taps = |k: &str| stage.get(k).and_then(Json::as_u64);
+    assert_eq!(taps("taps_processed"), Some(processed));
+    assert_eq!(taps("taps_skipped"), Some(skipped));
+
+    let layer = &run.report.layers[1];
+    assert_eq!(layer.compute_cycles, cycles);
+    assert_eq!(layer.active_pe_cycles, active);
+    assert_eq!(layer.ops, active * cfg.ops_per_pe_cycle);
+    assert_eq!(layer.nominal_ops, nominal * cfg.ops_per_pe_cycle);
+    // the PL conv is the only stage on the PE array
+    assert_eq!(run.report.total_ops(), active * cfg.ops_per_pe_cycle);
+    assert_eq!(
+        run.report.total_nominal_ops(),
+        nominal * cfg.ops_per_pe_cycle
+    );
 }
 
 #[test]

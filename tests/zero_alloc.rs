@@ -233,3 +233,27 @@ fn warm_runs_match_cold_runs() {
     assert_eq!(cold.logits_per_t, warm.logits_per_t);
     assert_eq!(cold.stats.spikes, warm.stats.spikes);
 }
+
+/// The machine keeps its membrane banks resident across runs and only
+/// re-precharges them: a warm machine — after other images and an
+/// early-exited run — must match a cold one bit for bit and cycle for
+/// cycle.
+#[test]
+fn machine_warm_runs_match_cold_runs() {
+    let net = convert(&spec(), &ConvertOptions::default());
+    let cfg = SiaConfig::pynq_z2();
+    let program = compile_for(&net, &cfg, 6).expect("compiles");
+    let img = image();
+    let cold = SiaMachine::new(program.clone(), cfg.clone()).run(&img, 6);
+    let mut warm_machine = SiaMachine::new(program, cfg);
+    let _ = warm_machine.run(&Tensor::full(vec![3, 8, 8], 0.9), 6);
+    let first_boundary = ExitPolicy::Margin {
+        threshold: 0.0,
+        window: 1,
+    };
+    let _ = warm_machine.run_policy(&img, 6, 0, first_boundary);
+    let warm = warm_machine.run(&img, 6);
+    assert_eq!(cold.logits_per_t, warm.logits_per_t);
+    assert_eq!(cold.stats, warm.stats);
+    assert_eq!(cold.report.layers, warm.report.layers);
+}
