@@ -59,8 +59,8 @@ RUSTFLAGS="-C overflow-checks=on" \
     cargo test -q -p sia-fixed -p sia-snn -p sia-accel -p sia-check -p sia-repro
 
 # Smoke benches, gated against the committed baselines. Each family first
-# asserts kernel bit-exactness (sparse ≡ dense conv, blocked ≡ reference
-# GEMM) before timing anything, then compares the production kernel's
+# asserts kernel bit-exactness (scatter ≡ byte-reference conv, blocked ≡
+# reference GEMM) before timing anything, then compares the production kernel's
 # min-of-iters against results/baselines/<family>-smoke.json. The slack is
 # deliberately generous (noise-aware threshold + 400% on a shared 1-core
 # runner): this catches order-of-magnitude regressions — an accidentally
@@ -72,16 +72,6 @@ for family in conv gemm eval serve; do
         --check-baseline --rel-slack 400 \
         --out "/tmp/sia_bench_${family}_smoke.json"
 done
-
-# Kernel calibration gates: the committed smoke calibration must stay
-# loadable (format version + deterministic policy), and a fresh smoke
-# measurement on this runner must fit, save and round-trip through
-# --check. Refresh the committed file after a format change:
-#   sia calibrate --smoke --out results/calibration/smoke.json
-echo "==> kernel calibration: committed file + fresh smoke measurement"
-cargo run --release -p sia-cli -- calibrate --check results/calibration/smoke.json
-cargo run --release -p sia-cli -- calibrate --smoke --out /tmp/sia_ci_calibration.json
-cargo run --release -p sia-cli -- calibrate --check /tmp/sia_ci_calibration.json
 
 # Data-parallel trainer smoke at --threads 4: drives the shared pool,
 # gradient sharding and BN-stat replay end-to-end through the CLI (result

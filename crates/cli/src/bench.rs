@@ -281,29 +281,22 @@ fn bench_gemm(_args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
     })
 }
 
-/// Micro-benchmarks the spiking conv kernels: the word-parallel
-/// event-driven scatter and the register-tiled dense kernel (the two
-/// production paths) against the scalar scatter, the scalar dense gather
-/// and the byte-wise reference, asserting bit-exactness of every kernel
-/// at every density before timing anything.
+/// Micro-benchmarks the spiking conv kernel: the word-parallel
+/// event-driven scatter (the production path on every backend) against the
+/// scalar scatter, the scalar dense gather and the byte-wise reference,
+/// asserting bit-exactness of every kernel at every density before timing
+/// anything.
 ///
 /// Timing is **interleaved**: every round times each (case, kernel) pair
 /// once, so no kernel enjoys a privately warmed cache or branch-predictor
-/// state — the methodology fix for the old dense-timing anomaly, where
-/// the gather's data-dependent branch was timed predictable-first. The
-/// tracked `min_ns` is the production kernel the resolved
-/// [`sia_snn::KernelPolicy`] picks for that case's density; slower
-/// reference kernels run fewer rounds. Non-smoke runs add a fine density
-/// grid around the calibrated scatter↔dense crossover (marked
-/// `fine: 1`); smoke keeps the fixed case list so the committed
-/// `conv-smoke` baseline stays comparable run to run.
-fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, String> {
+/// state. The tracked `min_ns` is the scatter; slower reference kernels
+/// run fewer rounds.
+fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, String> {
     use sia_fixed::{QuantScale, Q8_8};
     use sia_snn::network::{ConvInput, NeuronMode, SnnConv};
     use sia_snn::{
-        conv_psums_int, conv_psums_int_gather_ref, conv_psums_int_plane, conv_psums_int_scatter,
-        conv_psums_int_scatter_scalar, conv_psums_int_tiled, Calibration, ConvScratch,
-        KernelPolicy, SpikePlane,
+        conv_psums_int, conv_psums_int_gather_ref, conv_psums_int_scatter,
+        conv_psums_int_scatter_scalar, ConvScratch, SpikePlane,
     };
     use sia_tensor::Conv2dGeom;
 
@@ -340,58 +333,16 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
         levels: 8,
         mode: NeuronMode::If,
     };
-    let n_out = geom.out_neurons();
-
-    // The policy whose choices `min_ns` tracks: explicit flags win;
-    // otherwise a loaded host calibration; otherwise a fresh in-process
-    // measurement — so the bench always reports a *measured* crossover.
-    let resolved = crate::calibrate::resolve_policy(args)?;
-    let (policy, model) = match resolved {
-        KernelPolicy::Calibrated(m) => (resolved, m),
-        other => {
-            let cal = Calibration::measure(smoke);
-            let policy = if other == KernelPolicy::Auto {
-                cal.policy()
-            } else {
-                other
-            };
-            (policy, cal.model)
-        }
-    };
-    let crossover = model.crossover_density(&geom);
-
-    // Fixed density ladder, plus (full mode only) a fine grid around the
-    // measured crossover so BENCH_conv.json pins down where the policy
-    // flips. Smoke keeps the fixed list: baseline checks fail on missing
-    // cases, and the crossover moves from host to host.
-    let base = [1u32, 5, 10, 25, 50, 100];
-    let mut densities: Vec<(u32, bool)> = base.iter().map(|&p| (p, false)).collect();
-    if !smoke {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let cross_pct = (crossover * 100.0).round().clamp(1.0, 99.0) as u32;
-        for off in [-4i64, -2, -1, 0, 1, 2, 4] {
-            let p = i64::from(cross_pct) + off;
-            if (1..=99).contains(&p) {
-                let p = u32::try_from(p).expect("in range");
-                if !densities.iter().any(|&(q, _)| q == p) {
-                    densities.push((p, true));
-                }
-            }
-        }
-        densities.sort_unstable();
-    }
 
     struct Case {
         pct: u32,
-        fine: bool,
         bytes: Vec<u8>,
         plane: SpikePlane,
         measured_density: f64,
-        spikes: u64,
     }
-    let cases_in: Vec<Case> = densities
+    let cases_in: Vec<Case> = [1u32, 5, 10, 25, 50, 100]
         .iter()
-        .map(|&(pct, fine)| {
+        .map(|&pct| {
             let n = ch * hw * hw;
             let mut state = u64::from(pct) << 17 | 1;
             let bytes: Vec<u8> = (0..n)
@@ -407,9 +358,7 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
             plane.pack_from_bytes(ch, hw, hw, &bytes);
             Case {
                 pct,
-                fine,
                 measured_density: f64::from(set) / n as f64,
-                spikes: plane.count_ones(),
                 bytes,
                 plane,
             }
@@ -421,7 +370,7 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     let mut scr = ConvScratch::new();
     for c in &cases_in {
         let reference = conv_psums_int(&conv, &c.bytes);
-        let checks: [(&str, Vec<i16>); 5] = [
+        let checks: [(&str, Vec<i16>); 3] = [
             (
                 "scatter",
                 conv_psums_int_scatter(&conv, &c.plane, &mut scr, 0).to_vec(),
@@ -431,16 +380,8 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
                 conv_psums_int_scatter_scalar(&conv, &c.plane, &mut scr, 0).to_vec(),
             ),
             (
-                "tiled",
-                conv_psums_int_tiled(&conv, &c.plane, &mut scr, 0).to_vec(),
-            ),
-            (
                 "gather",
                 conv_psums_int_gather_ref(&conv, &c.plane, &mut scr).to_vec(),
-            ),
-            (
-                "policy",
-                conv_psums_int_plane(&conv, &c.plane, policy, &mut scr, 0).to_vec(),
             ),
         ];
         for (kernel, got) in checks {
@@ -454,15 +395,13 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     }
 
     println!(
-        "conv {ch}x{hw}x{hw} k3 s1 p1, {iters} iters/kernel, crossover {:.1}%{}",
-        crossover * 100.0,
+        "conv {ch}x{hw}x{hw} k3 s1 p1, {iters} iters/kernel{}",
         if smoke { " (smoke)" } else { "" }
     );
 
     // Interleaved timing: round-robin across every (case, kernel) pair.
     let ncases = cases_in.len();
     let mut scatter_s: Vec<Vec<u64>> = vec![Vec::with_capacity(iters as usize); ncases];
-    let mut tiled_s: Vec<Vec<u64>> = vec![Vec::with_capacity(iters as usize); ncases];
     let mut scalar_min = vec![u64::MAX; ncases];
     let mut gather_min = vec![u64::MAX; ncases];
     let mut byte_min = vec![u64::MAX; ncases];
@@ -475,9 +414,6 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
         for (i, c) in cases_in.iter().enumerate() {
             scatter_s[i].push(time_ns(&mut || {
                 black_box(conv_psums_int_scatter(&conv, black_box(&c.plane), &mut scr, 0).len());
-            }));
-            tiled_s[i].push(time_ns(&mut || {
-                black_box(conv_psums_int_tiled(&conv, black_box(&c.plane), &mut scr, 0).len());
             }));
             if round < ref_iters {
                 scalar_min[i] = scalar_min[i].min(time_ns(&mut || {
@@ -498,40 +434,21 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
         }
         // Round 0 is the warmup for every pair: drop its samples.
         if round == 0 {
-            for i in 0..ncases {
-                scatter_s[i].clear();
-                tiled_s[i].clear();
-            }
+            scatter_s.iter_mut().for_each(Vec::clear);
         }
     }
 
     println!(
-        "{:>8} {:>9} {:>7} {:>10} {:>10} {:>10} {:>10} {:>11} {:>8} {:>8}",
-        "density",
-        "measured",
-        "kernel",
-        "prod ns",
-        "scatter",
-        "tiled",
-        "scalar",
-        "gather",
-        "x scal",
-        "x dense"
+        "{:>8} {:>9} {:>10} {:>10} {:>11} {:>8} {:>8}",
+        "density", "measured", "scatter", "scalar", "gather", "x scal", "x dense"
     );
     let mut cases = Vec::new();
     for (i, c) in cases_in.iter().enumerate() {
-        let (scatter_min, scatter_median, scatter_mad) = summarize_ns(&scatter_s[i]);
-        let (tiled_min, tiled_median, tiled_mad) = summarize_ns(&tiled_s[i]);
-        let sparse_selected = policy.picks_sparse(&geom, c.spikes, n_out);
-        let (prod_min, prod_median, prod_mad, kernel) = if sparse_selected {
-            (scatter_min, scatter_median, scatter_mad, "scatter")
-        } else {
-            (tiled_min, tiled_median, tiled_mad, "tiled")
-        };
-        let speedup_vs_scalar = scalar_min[i] as f64 / prod_min.max(1) as f64;
-        let speedup_vs_dense = gather_min[i] as f64 / prod_min.max(1) as f64;
+        let (min, median, mad) = summarize_ns(&scatter_s[i]);
+        let speedup_vs_scalar = scalar_min[i] as f64 / min.max(1) as f64;
+        let speedup_vs_dense = gather_min[i] as f64 / min.max(1) as f64;
         println!(
-            "{:>7}% {:>8.1}% {kernel:>7} {prod_min:>10} {scatter_min:>10} {tiled_min:>10} {:>10} {:>11} {:>7.2}x {:>7.1}x",
+            "{:>7}% {:>8.1}% {min:>10} {:>10} {:>11} {:>7.2}x {:>7.1}x",
             c.pct,
             100.0 * c.measured_density,
             scalar_min[i],
@@ -543,19 +460,11 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
             name: format!("d{:03}", c.pct),
             iters: u64::from(iters - 1),
             warmup: 1,
-            min_ns: prod_min,
-            median_ns: prod_median,
-            mad_ns: prod_mad,
+            min_ns: min,
+            median_ns: median,
+            mad_ns: mad,
             metrics: vec![
                 ("measured_density".to_string(), c.measured_density),
-                ("fine".to_string(), f64::from(u8::from(c.fine))),
-                ("crossover_density".to_string(), crossover),
-                (
-                    "sparse_selected".to_string(),
-                    f64::from(u8::from(sparse_selected)),
-                ),
-                ("scatter_min_ns".to_string(), scatter_min as f64),
-                ("tiled_min_ns".to_string(), tiled_min as f64),
                 ("scalar_min_ns".to_string(), scalar_min[i] as f64),
                 ("gather_min_ns".to_string(), gather_min[i] as f64),
                 ("byte_min_ns".to_string(), byte_min[i] as f64),
@@ -641,12 +550,11 @@ fn bench_eval(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, S
         "{:<10} {:>6} {:>14} {:>16} {:>10}",
         "backend", "iters", "min ms/pass", "median ms/pass", "img/s"
     );
-    let policy = crate::calibrate::resolve_policy(args)?;
     let mut cases = Vec::new();
     let mut int_fixed_min = 0u64;
     for backend in [Backend::Float, Backend::Int, Backend::Accel] {
         let samples = sample(warmup, iters, || {
-            crate::evaluate_backend(&evaluator, backend, &model, timesteps, policy, &set)
+            crate::evaluate_backend(&evaluator, backend, &model, timesteps, &set)
                 .expect("bench backend evaluates")
         });
         let (min, median, mad) = summarize_ns(&samples);
@@ -688,12 +596,11 @@ fn bench_eval(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, S
         exit,
     });
     let samples = sample(warmup, iters, || {
-        crate::evaluate_backend(&exit_eval, Backend::Int, &model, timesteps, policy, &set)
+        crate::evaluate_backend(&exit_eval, Backend::Int, &model, timesteps, &set)
             .expect("bench backend evaluates")
     });
     let (min, median, mad) = summarize_ns(&samples);
-    let outcome =
-        crate::evaluate_backend(&exit_eval, Backend::Int, &model, timesteps, policy, &set)?;
+    let outcome = crate::evaluate_backend(&exit_eval, Backend::Int, &model, timesteps, &set)?;
     println!(
         "{:<10} {iters:>6} {:>14.2} {:>16.2} {:>10.1}  (avg T {:.2}, exit {:.0}%)",
         "int-exit",
@@ -782,7 +689,6 @@ fn bench_serve(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
         .usize_or("timesteps", if smoke { 2 } else { 4 })
         .map_err(err)?;
     let exit = crate::calibrate::resolve_exit_policy(args)?;
-    let kernel_policy = crate::calibrate::resolve_policy(args)?;
 
     // One measurement pass against a live server at `addr`: /healthz probe,
     // request corpus, bitwise determinism gate (the local reference runs
@@ -881,7 +787,6 @@ fn bench_serve(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
                     max_batch: images.len().max(1),
                     max_delay_us: 0,
                     queue_capacity: images.len().max(1) * 2,
-                    kernel_policy: sia_snn::KernelPolicy::Auto,
                     exit: gate_exit,
                 },
             )?;
@@ -1095,7 +1000,6 @@ fn bench_serve(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
             max_batch,
             max_delay_us,
             queue_capacity,
-            kernel_policy,
             exit,
         };
         let registry = Arc::new(ModelRegistry::new(timesteps));

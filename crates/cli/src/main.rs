@@ -9,7 +9,7 @@
 //! sia serve   model.sia [--port 8080] [--backend float|int|accel] [--threads 0]
 //!             [--max-batch 16] [--max-delay-us 2000] [--queue 256]
 //! sia explore [--clock-mhz 100]
-//! sia calibrate [--smoke] [--out cal.json] [--check cal.json]
+//! sia calibrate --exit model.sia [--out exit.json]
 //! sia bench   [conv|gemm|eval|serve] [--out BENCH_conv.json] [--smoke] [--threads 4]
 //!             [--check-baseline] [--update-baseline] [--baseline-dir DIR]
 //! sia trace   metrics.jsonl
@@ -131,18 +131,15 @@ USAGE:
               [--metrics [out.jsonl]] [--trace out.json]
   sia eval    <model.sia> [--backend float|int|accel] [--threads N]
               [--timesteps N] [--burn-in N] [--images N] [--events] [--smoke]
-              [--kernel-policy auto|sparse|dense|calibrated]
               [--policy fixed|margin|entropy|calibrated] [--exit-margin X]
               [--exit-entropy X] [--exit-window N] [--exit-calibration FILE]
               [--policy-sweep] [--min-accuracy X] [--max-acc-drop X]
-              [--calibration FILE] [--metrics [out.jsonl]] [--trace out.json]
+              [--metrics [out.jsonl]] [--trace out.json]
   sia serve   <model.sia> [--host H] [--port N] [--backend float|int|accel]
               [--threads N] [--timesteps N] [--burn-in N] [--max-batch N]
               [--max-delay-us N] [--queue N] [--port-file FILE]
-              [--kernel-policy auto|sparse|dense|calibrated] [--calibration FILE]
               [--policy fixed|margin|entropy|calibrated] [--exit-margin X]
               [--exit-entropy X] [--exit-window N] [--exit-calibration FILE]
-  sia calibrate [--smoke] [--out FILE] | sia calibrate --check FILE
   sia calibrate --exit <model.sia> [--timesteps N] [--exit-window N]
               [--max-acc-drop X] [--images N] [--smoke] [--out FILE]
   sia explore [--clock-mhz N]
@@ -170,7 +167,8 @@ USAGE:
   --port 0 picks an ephemeral port (write it with --port-file).
 
   `bench` runs one family from the unified registry — `conv` (event-driven
-  scatter kernel vs dense, bit-exactness asserted at every density),
+  scatter kernel vs its scalar form and the dense gather, bit-exactness
+  asserted at every density),
   `gemm` (blocked register-tiled GEMM vs naive across ResNet-18/VGG-11
   shapes), `eval` (end-to-end img/s through the BatchEvaluator on all
   three backends) or `serve` (HTTP load generator: latency quantiles and
@@ -202,14 +200,6 @@ USAGE:
   rule ids or prefixes (e.g. `--deny sat,budget.weight-sram`) promoted to
   errors. Exit codes: 0 pass, 1 errors, 2 usage. `run` and `eval` refuse
   models whose check reports errors.
-
-  `calibrate` micro-benchmarks the sparse (event-driven scatter) and dense
-  (register-tiled) conv kernels on this host, fits an integer cost model
-  and writes results/calibration/<host_key>.json. `eval`/`serve`/`bench`
-  auto-load a matching calibration; --kernel-policy picks a kernel
-  explicitly (sparse|dense), `auto` reverts to the built-in heuristic and
-  `calibrated` makes the file mandatory (--calibration overrides the
-  path). --check validates a file without measuring (the CI gate).
 
   Adaptive early exit: --policy margin|entropy stops integrating timesteps
   once the head's logits clear a confidence threshold (--exit-margin /
@@ -378,25 +368,17 @@ pub(crate) fn evaluate_backend(
     backend: Backend,
     model: &LoadedModel,
     timesteps: usize,
-    policy: sia_snn::KernelPolicy,
     set: &sia_dataset::LabelledSet,
 ) -> Result<sia_snn::EvalOutcome, String> {
     Ok(match backend {
-        Backend::Float => evaluator.evaluate(
-            FloatEngineFactory::new(Arc::clone(&model.network)).with_kernel_policy(policy),
-            set,
-        ),
-        Backend::Int => evaluator.evaluate(
-            IntEngineFactory::new(Arc::clone(&model.network)).with_kernel_policy(policy),
-            set,
-        ),
+        Backend::Float => {
+            evaluator.evaluate(FloatEngineFactory::new(Arc::clone(&model.network)), set)
+        }
+        Backend::Int => evaluator.evaluate(IntEngineFactory::new(Arc::clone(&model.network)), set),
         Backend::Accel => {
             let program =
                 compile_for(&model.network, &model.config, timesteps).map_err(|e| e.to_string())?;
-            evaluator.evaluate(
-                SiaEngineFactory::new(program, model.config.clone()).with_kernel_policy(policy),
-                set,
-            )
+            evaluator.evaluate(SiaEngineFactory::new(program, model.config.clone()), set)
         }
     })
 }
@@ -418,7 +400,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         max_batch: args.usize_or("max-batch", 16).map_err(err)?,
         max_delay_us: args.usize_or("max-delay-us", 2000).map_err(err)? as u64,
         queue_capacity: args.usize_or("queue", 256).map_err(err)?,
-        kernel_policy: calibrate::resolve_policy(args)?,
         exit: calibrate::resolve_exit_policy(args)?,
     };
     let registry = Arc::new(ModelRegistry::new(config.timesteps));
@@ -626,7 +607,6 @@ fn eval_policy_sweep(
     backend: Backend,
     model: &LoadedModel,
     base: EvalConfig,
-    policy: sia_snn::KernelPolicy,
     set: &sia_dataset::LabelledSet,
 ) -> Result<(), String> {
     use sia_snn::ExitPolicy;
@@ -656,7 +636,7 @@ fn eval_policy_sweep(
     for (label, exit) in grid {
         let evaluator = BatchEvaluator::new(EvalConfig { exit, ..base });
         let t0 = std::time::Instant::now();
-        let outcome = evaluate_backend(&evaluator, backend, model, timesteps, policy, set)?;
+        let outcome = evaluate_backend(&evaluator, backend, model, timesteps, set)?;
         let wall = t0.elapsed().as_secs_f64().max(1e-9);
         points.push(SweepPoint {
             label,
@@ -712,7 +692,6 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     } else {
         EvalEncoding::Dense
     };
-    let policy = calibrate::resolve_policy(args)?;
     if args.switch("policy-sweep") {
         return eval_policy_sweep(
             backend,
@@ -724,7 +703,6 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
                 encoding,
                 exit: sia_snn::ExitPolicy::Fixed,
             },
-            policy,
             &set,
         );
     }
@@ -738,7 +716,7 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
         exit,
     });
     let t0 = std::time::Instant::now();
-    let outcome = evaluate_backend(&evaluator, backend, &model, timesteps, policy, &set)?;
+    let outcome = evaluate_backend(&evaluator, backend, &model, timesteps, &set)?;
     let wall = t0.elapsed();
     println!(
         "{}/{} correct ({:.1}%) at T={timesteps} (burn-in {burn_in}) on the {backend} backend",
@@ -785,7 +763,7 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
             encoding,
             exit: sia_snn::ExitPolicy::Fixed,
         });
-        let fixed = evaluate_backend(&fixed_eval, backend, &model, timesteps, policy, &set)?;
+        let fixed = evaluate_backend(&fixed_eval, backend, &model, timesteps, &set)?;
         let floor = fixed.accuracy() - drop;
         println!(
             "fixed-T reference: {:.1}% accuracy (adaptive floor {:.1}%)",

@@ -64,9 +64,6 @@ pub struct ServeConfig {
     pub max_delay_us: u64,
     /// Bounded queue depth; beyond it `/predict` returns 503.
     pub queue_capacity: usize,
-    /// Psum kernel policy every pooled engine starts with (measured
-    /// calibration or a forced kernel; `Auto` = built-in heuristic).
-    pub kernel_policy: sia_snn::KernelPolicy,
     /// Confidence-gated early-exit policy applied per served image
     /// ([`ExitPolicy::Fixed`] = run every timestep, the classic behaviour).
     pub exit: ExitPolicy,
@@ -82,7 +79,6 @@ impl Default for ServeConfig {
             max_batch: 16,
             max_delay_us: 2000,
             queue_capacity: 256,
-            kernel_policy: sia_snn::KernelPolicy::Auto,
             exit: ExitPolicy::Fixed,
         }
     }
@@ -146,21 +142,18 @@ impl ServingUnit {
     pub fn start(model: Arc<LoadedModel>, config: ServeConfig) -> Result<Arc<ServingUnit>, String> {
         let pool = match config.backend {
             Backend::Float => EnginePool::new(
-                FloatEngineFactory::new(Arc::clone(&model.network))
-                    .with_kernel_policy(config.kernel_policy),
+                FloatEngineFactory::new(Arc::clone(&model.network)),
                 config.threads,
             ),
             Backend::Int => EnginePool::new(
-                IntEngineFactory::new(Arc::clone(&model.network))
-                    .with_kernel_policy(config.kernel_policy),
+                IntEngineFactory::new(Arc::clone(&model.network)),
                 config.threads,
             ),
             Backend::Accel => {
                 let program = compile_for(&model.network, &model.config, config.timesteps)
                     .map_err(|e| e.to_string())?;
                 EnginePool::new(
-                    SiaEngineFactory::new(program, model.config.clone())
-                        .with_kernel_policy(config.kernel_policy),
+                    SiaEngineFactory::new(program, model.config.clone()),
                     config.threads,
                 )
             }
@@ -636,7 +629,13 @@ pub fn parse_images(body: &[u8], dims: (usize, usize, usize)) -> Result<Vec<Tens
             let Some(x) = v.as_f64() else {
                 return Err(format!("image {i} value {j} is not a number"));
             };
-            data.push(x as f32);
+            // A finite f64 beyond f32's range casts to ±inf: reject it
+            // rather than run the datapath on a value no check covered.
+            let x32 = x as f32;
+            if !x32.is_finite() {
+                return Err(format!("image {i} value {j} ({x:e}) is not a finite f32"));
+            }
+            data.push(x32);
         }
         out.push(Tensor::from_vec(vec![c, h, w], data));
     }
@@ -849,6 +848,17 @@ mod tests {
         assert!(parse_images(b"{\"images\":[]}", dims).is_err());
         assert!(parse_images(b"{}", dims).is_err());
         assert!(parse_images(b"not json", dims).is_err());
+    }
+
+    #[test]
+    fn parse_images_rejects_values_beyond_f32() {
+        let dims = (1, 2, 2);
+        let err = parse_images(b"{\"image\":[1e300,0,0,0]}", dims).unwrap_err();
+        assert!(err.contains("image 0 value 0"), "{err}");
+        let err = parse_images(b"{\"images\":[[0,0,0,0],[0,0,-1e39,0]]}", dims).unwrap_err();
+        assert!(err.contains("image 1 value 2"), "{err}");
+        // the largest finite f32 is still accepted
+        assert!(parse_images(b"{\"image\":[3.4028235e38,0,0,0]}", dims).is_ok());
     }
 
     #[test]

@@ -26,8 +26,7 @@ use sia_snn::scratch::scratch_resize;
 use sia_snn::spikeplane::SpikePlane;
 use sia_snn::{
     conv_psums_dense_into, conv_psums_int_plane, drive, drive_policy, ConvScratch, DriveScratch,
-    Engine, EngineInput, ExitPolicy, KernelPolicy, SnnConv, SnnItem, SnnNetwork, SnnOutput,
-    SpikeStats,
+    Engine, EngineInput, ExitPolicy, SnnConv, SnnItem, SnnNetwork, SnnOutput, SpikeStats,
 };
 use sia_telemetry::Value;
 use sia_tensor::Tensor;
@@ -105,9 +104,6 @@ pub struct SiaMachine {
     /// `stage_taps` — psum-stage segments are reported by the closing
     /// `BlockAdd`, matching the functional runners' tap attribution.
     seg_taps: (u64, u64),
-    /// Psum kernel policy for the shared INT8 kernels: the PL conv passes
-    /// and the PS-side residual convolutions.
-    policy: KernelPolicy,
 }
 
 impl SiaMachine {
@@ -161,16 +157,7 @@ impl SiaMachine {
             residual: Vec::new(),
             arenas: DriveScratch::default(),
             seg_taps: (0, 0),
-            policy: KernelPolicy::Auto,
         }
-    }
-
-    /// Selects the psum kernel policy for the PL conv passes and the
-    /// PS-side residual convolutions (the same calibrated sparse/dense
-    /// decision the functional runners make — see
-    /// [`sia_snn::KernelPolicy`]). Every policy yields the same bits.
-    pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
-        self.policy = policy;
     }
 
     /// Layer passes started since construction (controller status).
@@ -261,7 +248,6 @@ struct PlConvCtx<'a> {
     controller: &'a mut Controller,
     cycles: &'a mut LayerCycles,
     conv: &'a mut ConvScratch,
-    policy: KernelPolicy,
     taps: &'a mut (u64, u64),
 }
 
@@ -284,7 +270,7 @@ fn pl_conv_timestep(
     let per_ch = oh * ow;
     let cfg = ctx.cfg;
     let cycles = &mut *ctx.cycles;
-    let pass = run_layer_pass(c, plane, cfg, ctx.policy, ctx.conv, idx * 2);
+    let pass = run_layer_pass(c, plane, cfg, ctx.conv, idx * 2);
     if let PlOut::Spikes(o, _) = &mut out {
         o.reset(c.geom.out_channels, oh, ow);
     }
@@ -537,7 +523,6 @@ impl Engine for SiaMachine {
             run_timesteps,
             conv,
             seg_taps,
-            policy,
             ..
         } = self;
         let SnnItem::Conv(c) = &program.network.items[idx] else {
@@ -548,7 +533,6 @@ impl Engine for SiaMachine {
             controller,
             cycles: active[idx].as_mut().expect("begin_item ran"),
             conv,
-            policy: *policy,
             taps: seg_taps,
         };
         let mem = banks[idx].as_mut().expect("spiking conv has membranes");
@@ -573,7 +557,6 @@ impl Engine for SiaMachine {
             run_timesteps,
             conv,
             seg_taps,
-            policy,
             ..
         } = self;
         let SnnItem::ConvPsum(c) = &program.network.items[idx] else {
@@ -593,7 +576,6 @@ impl Engine for SiaMachine {
             controller,
             cycles: active[idx].as_mut().expect("begin_item ran"),
             conv,
-            policy: *policy,
             taps: seg_taps,
         };
         pl_conv_timestep(
@@ -616,7 +598,6 @@ impl Engine for SiaMachine {
             pending_len,
             conv,
             residual,
-            policy,
             ..
         } = self;
         let SnnItem::BlockAdd(a) = &program.network.items[idx] else {
@@ -628,7 +609,7 @@ impl Engine for SiaMachine {
         scratch_resize(residual, n, 0);
         match &a.down {
             Some(d) => {
-                let psums = conv_psums_int_plane(d, skip, *policy, conv, idx * 2 + 1);
+                let psums = conv_psums_int_plane(d, skip, conv, idx * 2 + 1);
                 assert_eq!(
                     *pending_len,
                     psums.len(),
@@ -724,25 +705,13 @@ impl Engine for SiaMachine {
 pub struct SiaEngineFactory {
     program: Program,
     config: SiaConfig,
-    policy: KernelPolicy,
 }
 
 impl SiaEngineFactory {
     /// Creates a factory over a compiled program and its configuration.
     #[must_use]
     pub fn new(program: Program, config: SiaConfig) -> Self {
-        SiaEngineFactory {
-            program,
-            config,
-            policy: KernelPolicy::Auto,
-        }
-    }
-
-    /// Sets the psum kernel policy every built machine starts with.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: KernelPolicy) -> Self {
-        self.policy = policy;
-        self
+        SiaEngineFactory { program, config }
     }
 }
 
@@ -750,9 +719,7 @@ impl sia_snn::EngineFactory for SiaEngineFactory {
     type Engine<'a> = SiaMachine;
 
     fn build(&self) -> SiaMachine {
-        let mut machine = SiaMachine::new(self.program.clone(), self.config.clone());
-        machine.set_kernel_policy(self.policy);
-        machine
+        SiaMachine::new(self.program.clone(), self.config.clone())
     }
 }
 

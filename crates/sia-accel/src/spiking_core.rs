@@ -13,7 +13,7 @@
 //!
 //! * [`run_layer_pass`] — what the machine executes. The psums of all
 //!   `C_out` channels come from one call to the shared word-parallel INT8
-//!   kernels of [`sia_snn::sparse`]; each PE folds its saturating adds in
+//!   scatter of [`sia_snn::sparse`]; each PE folds its saturating adds in
 //!   `(ci, ky, kx)` order and so does the kernel for every output, so the
 //!   PE-array psums are the kernel's psums bit for bit. The segment counts
 //!   depend only on the input plane and the geometry, so they are counted
@@ -30,7 +30,7 @@ use crate::config::SiaConfig;
 use crate::pe::ProcessingElement;
 use sia_snn::network::SnnConv;
 use sia_snn::spikeplane::SpikePlane;
-use sia_snn::{conv_psums_int_scatter, conv_psums_int_tiled, ConvScratch, KernelPolicy};
+use sia_snn::{conv_psums_int_scatter, ConvScratch};
 use sia_tensor::Conv2dGeom;
 
 /// Result of one convolution pass (one kernel group over all output pixels,
@@ -108,11 +108,11 @@ impl LayerPass<'_> {
 }
 
 /// Runs one timestep of a spiking convolution on the PE array for all
-/// output channels of `conv`: psums from the shared INT8 kernel `policy`
-/// selects (`key` names the layer in the scratch's transposed-weight
-/// cache), segment counts from `count_segments`.
+/// output channels of `conv`: psums from the shared INT8 scatter (`key`
+/// names the layer in the scratch's transposed-weight cache), segment
+/// counts from `count_segments`.
 ///
-/// The kernel entries used here do no tap accounting, so `scratch` may be
+/// The scatter entry used here does no tap accounting, so `scratch` may be
 /// shared with convolutions whose kernel taps are reported: a PL stage
 /// reports PE segments only.
 ///
@@ -123,20 +123,14 @@ pub fn run_layer_pass<'a>(
     conv: &SnnConv,
     plane: &SpikePlane,
     config: &SiaConfig,
-    policy: KernelPolicy,
     scratch: &'a mut ConvScratch,
     key: usize,
 ) -> LayerPass<'a> {
     let g = &conv.geom;
     let (oh, ow) = g.out_hw();
     let segments = count_segments(g, plane, config.taps_per_cycle);
-    let psums = if policy.picks_sparse(g, plane.count_ones(), g.out_channels * oh * ow) {
-        conv_psums_int_scatter(conv, plane, scratch, key)
-    } else {
-        conv_psums_int_tiled(conv, plane, scratch, key)
-    };
     LayerPass {
-        psums,
+        psums: conv_psums_int_scatter(conv, plane, scratch, key),
         segments,
         pixels: oh * ow,
     }

@@ -99,24 +99,13 @@ pub trait EngineFactory: Send + Sync + 'static {
 #[derive(Clone, Debug)]
 pub struct FloatEngineFactory {
     net: Arc<crate::SnnNetwork>,
-    policy: crate::KernelPolicy,
 }
 
 impl FloatEngineFactory {
     /// Creates a factory over a shared network.
     #[must_use]
     pub fn new(net: Arc<crate::SnnNetwork>) -> Self {
-        FloatEngineFactory {
-            net,
-            policy: crate::KernelPolicy::Auto,
-        }
-    }
-
-    /// Sets the psum kernel policy every built engine starts with.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: crate::KernelPolicy) -> Self {
-        self.policy = policy;
-        self
+        FloatEngineFactory { net }
     }
 }
 
@@ -124,9 +113,7 @@ impl EngineFactory for FloatEngineFactory {
     type Engine<'a> = crate::FloatRunner<'a>;
 
     fn build(&self) -> crate::FloatRunner<'_> {
-        let mut runner = crate::FloatRunner::new(&self.net);
-        runner.set_kernel_policy(self.policy);
-        runner
+        crate::FloatRunner::new(&self.net)
     }
 }
 
@@ -134,24 +121,13 @@ impl EngineFactory for FloatEngineFactory {
 #[derive(Clone, Debug)]
 pub struct IntEngineFactory {
     net: Arc<crate::SnnNetwork>,
-    policy: crate::KernelPolicy,
 }
 
 impl IntEngineFactory {
     /// Creates a factory over a shared network.
     #[must_use]
     pub fn new(net: Arc<crate::SnnNetwork>) -> Self {
-        IntEngineFactory {
-            net,
-            policy: crate::KernelPolicy::Auto,
-        }
-    }
-
-    /// Sets the psum kernel policy every built engine starts with.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: crate::KernelPolicy) -> Self {
-        self.policy = policy;
-        self
+        IntEngineFactory { net }
     }
 }
 
@@ -159,9 +135,7 @@ impl EngineFactory for IntEngineFactory {
     type Engine<'a> = crate::IntRunner<'a>;
 
     fn build(&self) -> crate::IntRunner<'_> {
-        let mut runner = crate::IntRunner::new(&self.net);
-        runner.set_kernel_policy(self.policy);
-        runner
+        crate::IntRunner::new(&self.net)
     }
 }
 

@@ -14,9 +14,7 @@
 //! run, simulates every candidate threshold post-hoc (valid because the
 //! chunked traversal is bit-exact, so prefix logits match), and picks the
 //! threshold minimising average T subject to an accuracy floor. The result
-//! persists next to the kernel calibration JSON
-//! (`results/calibration/exit.json`), versioned like
-//! [`crate::calibrate::Calibration`].
+//! persists as versioned JSON (`results/calibration/exit.json`).
 
 use std::path::{Path, PathBuf};
 

@@ -32,7 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod calibrate;
 pub mod convert;
 pub mod encode;
 pub mod eval;
@@ -46,7 +45,6 @@ pub mod spikeplane;
 pub mod stats;
 pub mod surrogate;
 
-pub use calibrate::{host_key, Calibration, CALIBRATION_VERSION};
 pub use convert::{convert, ConvertOptions, InputEncoding};
 pub use encode::{rate_encode, EventStream};
 pub use eval::{
@@ -67,7 +65,7 @@ pub use scratch::{scratch_growth, scratch_reserve_default, scratch_resize};
 pub use sparse::{
     conv_psums_dense_f32_into, conv_psums_dense_into, conv_psums_f32_plane,
     conv_psums_int_gather_ref, conv_psums_int_plane, conv_psums_int_scatter,
-    conv_psums_int_scatter_scalar, conv_psums_int_tiled, ConvScratch, CostModel, KernelPolicy,
+    conv_psums_int_scatter_scalar, ConvScratch,
 };
 pub use spikeplane::{or_pool_packed, SpikePlane};
 pub use stats::SpikeStats;

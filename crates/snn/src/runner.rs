@@ -47,7 +47,7 @@ use crate::neuron::{step_f32, step_int};
 use crate::scratch::{scratch_reserve_default, scratch_resize};
 use crate::sparse::{
     conv_psums_dense_f32_into, conv_psums_dense_into, conv_psums_f32_plane, conv_psums_int_plane,
-    ConvScratch, KernelPolicy,
+    ConvScratch,
 };
 use crate::spikeplane::{or_pool_packed, SpikePlane};
 use crate::stats::SpikeStats;
@@ -736,7 +736,6 @@ pub struct IntRunner<'a> {
     pending_len: usize,
     run_timesteps: usize,
     conv: ConvScratch,
-    policy: KernelPolicy,
     arenas: DriveScratch,
 }
 
@@ -762,15 +761,8 @@ impl<'a> IntRunner<'a> {
             pending_len: 0,
             run_timesteps: 0,
             conv: ConvScratch::new(),
-            policy: KernelPolicy::Auto,
             arenas: DriveScratch::default(),
         }
-    }
-
-    /// Overrides the sparse-vs-dense kernel selection (bit-exact either
-    /// way; used by equivalence tests and benches).
-    pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
-        self.policy = policy;
     }
 
     /// Runs `timesteps` of inference on one `C×H×W` image.
@@ -898,7 +890,7 @@ impl Engine for IntRunner<'_> {
         let SnnItem::Conv(c) = &net.items[idx] else {
             unreachable!("step_conv on a non-conv item")
         };
-        let psums = conv_psums_int_plane(c, spikes, self.policy, &mut self.conv, idx * 2);
+        let psums = conv_psums_int_plane(c, spikes, &mut self.conv, idx * 2);
         let per_ch = psums.len() / c.geom.out_channels;
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
@@ -916,7 +908,7 @@ impl Engine for IntRunner<'_> {
         let SnnItem::ConvPsum(c) = &net.items[idx] else {
             unreachable!("step_conv_psum on a non-psum item")
         };
-        let psums = conv_psums_int_plane(c, spikes, self.policy, &mut self.conv, idx * 2);
+        let psums = conv_psums_int_plane(c, spikes, &mut self.conv, idx * 2);
         let per_ch = psums.len() / c.geom.out_channels;
         // Differently-sized psum stages share this buffer; under the
         // chunked driver each stage revisits it every chunk (not only at
@@ -941,7 +933,7 @@ impl Engine for IntRunner<'_> {
         out.reset(a.channels, a.h, a.w);
         match &a.down {
             Some(d) => {
-                let psums = conv_psums_int_plane(d, skip, self.policy, &mut self.conv, idx * 2 + 1);
+                let psums = conv_psums_int_plane(d, skip, &mut self.conv, idx * 2 + 1);
                 assert_eq!(
                     self.pending_len,
                     psums.len(),
@@ -1035,7 +1027,6 @@ pub struct FloatRunner<'a> {
     pending_len: usize,
     run_timesteps: usize,
     conv: ConvScratch,
-    policy: KernelPolicy,
     arenas: DriveScratch,
 }
 
@@ -1061,15 +1052,8 @@ impl<'a> FloatRunner<'a> {
             pending_len: 0,
             run_timesteps: 0,
             conv: ConvScratch::new(),
-            policy: KernelPolicy::Auto,
             arenas: DriveScratch::default(),
         }
-    }
-
-    /// Overrides the sparse-vs-dense kernel selection (exact either way —
-    /// the scatter path preserves `f32` addition order).
-    pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
-        self.policy = policy;
     }
 
     /// Runs `timesteps` of reference inference on one image.
@@ -1187,7 +1171,7 @@ impl Engine for FloatRunner<'_> {
         let SnnItem::Conv(c) = &net.items[idx] else {
             unreachable!("step_conv on a non-conv item")
         };
-        let psums = conv_psums_f32_plane(c, spikes, self.policy, &mut self.conv, idx * 2);
+        let psums = conv_psums_f32_plane(c, spikes, &mut self.conv, idx * 2);
         let per_ch = psums.len() / c.geom.out_channels;
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
@@ -1205,7 +1189,7 @@ impl Engine for FloatRunner<'_> {
         let SnnItem::ConvPsum(c) = &net.items[idx] else {
             unreachable!("step_conv_psum on a non-psum item")
         };
-        let psums = conv_psums_f32_plane(c, spikes, self.policy, &mut self.conv, idx * 2);
+        let psums = conv_psums_f32_plane(c, spikes, &mut self.conv, idx * 2);
         let per_ch = psums.len() / c.geom.out_channels;
         // Same chunk-revisit re-shape as the integer runner (see there).
         let needed = self.run_timesteps * psums.len();
@@ -1227,7 +1211,7 @@ impl Engine for FloatRunner<'_> {
         out.reset(a.channels, a.h, a.w);
         match &a.down {
             Some(d) => {
-                let psums = conv_psums_f32_plane(d, skip, self.policy, &mut self.conv, idx * 2 + 1);
+                let psums = conv_psums_f32_plane(d, skip, &mut self.conv, idx * 2 + 1);
                 assert_eq!(
                     self.pending_len,
                     psums.len(),
@@ -1438,21 +1422,6 @@ mod tests {
         let out = IntRunner::new(&net).run(&img, 6);
         assert_eq!(out.stats.images, 1);
         assert_eq!(out.stats.timesteps, 6);
-    }
-
-    #[test]
-    fn forced_kernel_policies_agree_end_to_end() {
-        let spec = one_layer_spec(0.8, 1.0, 8);
-        let net = convert(&spec, &ConvertOptions::default());
-        let img = Tensor::from_vec(vec![1, 2, 2], vec![0.2, 0.5, 0.8, 0.95]);
-        let mut dense = IntRunner::new(&net);
-        dense.set_kernel_policy(KernelPolicy::ForceDense);
-        let mut sparse = IntRunner::new(&net);
-        sparse.set_kernel_policy(KernelPolicy::ForceSparse);
-        let a = dense.run(&img, 8);
-        let b = sparse.run(&img, 8);
-        assert_eq!(a.logits_per_t, b.logits_per_t);
-        assert_eq!(a.stats.spikes, b.stats.spikes);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use sia_snn::network::{ConvInput, NeuronMode, SnnConv};
 use sia_snn::spikeplane::{or_pool_packed, SpikePlane};
 use sia_snn::{
     conv_psums_f32, conv_psums_f32_plane, conv_psums_int, conv_psums_int_gather_ref,
-    conv_psums_int_plane, conv_psums_int_scatter, conv_psums_int_scatter_scalar,
-    conv_psums_int_tiled, or_pool, ConvScratch, CostModel, KernelPolicy,
+    conv_psums_int_plane, conv_psums_int_scatter, conv_psums_int_scatter_scalar, or_pool,
+    ConvScratch,
 };
 use sia_tensor::Conv2dGeom;
 
@@ -51,10 +51,9 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         })
 }
 
-/// Geometries that exercise the word-parallel fast paths: ≥ 16 output
-/// channels (full `LANES` blocks in the scatter, paired-row tiles in the
-/// dense kernel) and ≥ 16 output columns (full-width register tiles), at
-/// spike rates and depths where the saturating i16 accumulators hit the
+/// Geometries that exercise the word-parallel fast path: ≥ 16 output
+/// channels (full `LANES` blocks in the scatter) over 16–20 wide planes,
+/// at spike rates and depths where the saturating i16 accumulators hit the
 /// ±`i16::MAX` rails — the regime where any reassociation of the tap
 /// order becomes observable.
 fn hot_case_strategy() -> impl Strategy<Value = Case> {
@@ -138,18 +137,15 @@ proptest! {
         let plane = packed(&c, &bytes);
         let reference = conv_psums_int(&conv, &bytes);
         let mut scr = ConvScratch::new();
-        for policy in [KernelPolicy::ForceSparse, KernelPolicy::ForceDense, KernelPolicy::Auto] {
-            let got = conv_psums_int_plane(&conv, &plane, policy, &mut scr, 0).to_vec();
-            prop_assert_eq!(&got, &reference, "policy {:?}", policy);
-        }
+        let got = conv_psums_int_plane(&conv, &plane, &mut scr, 0).to_vec();
+        prop_assert_eq!(&got, &reference);
     }
 
     #[test]
     fn word_parallel_kernels_are_bit_exact_on_hot_geometries(c in hot_case_strategy()) {
-        // Direct entries, not the policy dispatcher: every kernel on the
-        // menu must agree with the byte reference, including the wide
-        // scatter's 16-lane blocks and the dense kernel's paired-row
-        // register tiles (only reachable at cout ≥ 16, ow ≥ 16).
+        // Direct entries: the scatter and every oracle must agree with the
+        // byte reference, including the wide scatter's full 16-lane blocks
+        // (only reachable at cout ≥ 16).
         let conv = make_conv(&c);
         let bytes = spike_bytes(c.cin * c.hw * c.hw, c.rate, c.seed);
         let plane = packed(&c, &bytes);
@@ -159,33 +155,8 @@ proptest! {
         prop_assert_eq!(&got, &reference, "scatter");
         let got = conv_psums_int_scatter_scalar(&conv, &plane, &mut scr, 0).to_vec();
         prop_assert_eq!(&got, &reference, "scalar scatter");
-        let got = conv_psums_int_tiled(&conv, &plane, &mut scr, 0).to_vec();
-        prop_assert_eq!(&got, &reference, "tiled");
         let got = conv_psums_int_gather_ref(&conv, &plane, &mut scr).to_vec();
         prop_assert_eq!(&got, &reference, "gather");
-    }
-
-    #[test]
-    fn calibrated_policy_is_bit_exact_for_any_cost_model(
-        c in case_strategy(),
-        scatter_ps_per_lane in 1u32..=100_000,
-        scatter_ps_per_out in 0u32..=100_000,
-        dense_ps_per_lane in 1u32..=100_000,
-    ) {
-        // Whatever kernel an arbitrary cost model picks, the result is
-        // the same bits — calibration may only ever change speed.
-        let conv = make_conv(&c);
-        let bytes = spike_bytes(c.cin * c.hw * c.hw, c.rate, c.seed);
-        let plane = packed(&c, &bytes);
-        let reference = conv_psums_int(&conv, &bytes);
-        let mut scr = ConvScratch::new();
-        let policy = KernelPolicy::Calibrated(CostModel {
-            scatter_ps_per_lane,
-            scatter_ps_per_out,
-            dense_ps_per_lane,
-        });
-        let got = conv_psums_int_plane(&conv, &plane, policy, &mut scr, 0).to_vec();
-        prop_assert_eq!(&got, &reference, "policy {:?}", policy);
     }
 
     #[test]
@@ -196,10 +167,8 @@ proptest! {
         let plane = packed(&c, &bytes);
         let reference = conv_psums_f32(&conv, &bytes);
         let mut scr = ConvScratch::new();
-        for policy in [KernelPolicy::ForceSparse, KernelPolicy::ForceDense] {
-            let got = conv_psums_f32_plane(&conv, &plane, policy, &mut scr, 0).to_vec();
-            prop_assert_eq!(&got, &reference, "policy {:?}", policy);
-        }
+        let got = conv_psums_f32_plane(&conv, &plane, &mut scr, 0).to_vec();
+        prop_assert_eq!(&got, &reference);
     }
 
     #[test]
@@ -221,7 +190,7 @@ proptest! {
 }
 
 proptest! {
-    // Fewer cases: each one runs 4 kernels × 3 weight patterns over a
+    // Fewer cases: each one runs 3 kernels × 3 weight patterns over a
     // deep (cin ≥ 40) geometry in the unoptimized test profile.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -273,8 +242,6 @@ proptest! {
             prop_assert_eq!(&got, &reference, "scatter / {}", pattern);
             let got = conv_psums_int_scatter_scalar(&conv, &plane, &mut scr, 0).to_vec();
             prop_assert_eq!(&got, &reference, "scalar scatter / {}", pattern);
-            let got = conv_psums_int_tiled(&conv, &plane, &mut scr, 0).to_vec();
-            prop_assert_eq!(&got, &reference, "tiled / {}", pattern);
             let got = conv_psums_int_gather_ref(&conv, &plane, &mut scr).to_vec();
             prop_assert_eq!(&got, &reference, "gather / {}", pattern);
         }
@@ -299,14 +266,10 @@ fn all_zeros_and_all_ones_planes_agree() {
         let plane = packed(&c, &bytes);
         let reference = conv_psums_int(&conv, &bytes);
         let mut scr = ConvScratch::new();
-        for policy in [
-            KernelPolicy::ForceSparse,
-            KernelPolicy::ForceDense,
-            KernelPolicy::Auto,
-        ] {
-            let got = conv_psums_int_plane(&conv, &plane, policy, &mut scr, 0).to_vec();
-            assert_eq!(got, reference, "rate {rate} policy {policy:?}");
-        }
+        let got = conv_psums_int_plane(&conv, &plane, &mut scr, 0).to_vec();
+        assert_eq!(got, reference, "rate {rate}");
+        let got = conv_psums_f32_plane(&conv, &plane, &mut scr, 0).to_vec();
+        assert_eq!(got, conv_psums_f32(&conv, &bytes), "f32 rate {rate}");
         if rate == 0 {
             assert!(reference.iter().all(|&p| p == 0));
         }

@@ -2,11 +2,11 @@
 //!
 //! `SiaMachine` computes a PL conv layer-timestep with
 //! `spiking_core::run_layer_pass`: psums for every output channel from the
-//! shared INT8 kernels, kernel-row segments counted word-parallel once per
+//! shared INT8 scatter, kernel-row segments counted word-parallel once per
 //! layer-timestep. `run_conv_pass` clocks every `ProcessingElement` of one
 //! kernel group through every pixel, row and segment. For random
-//! geometries, densities, weights, PE-array sizes and kernel policies the
-//! two must agree group by group: psums and all four counters.
+//! geometries, densities, weights and PE-array sizes the two must agree
+//! group by group: psums and all four counters.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -14,7 +14,7 @@ use sia_accel::spiking_core::{run_conv_pass, run_layer_pass};
 use sia_accel::SiaConfig;
 use sia_fixed::{QuantScale, Q8_8};
 use sia_snn::network::{ConvInput, NeuronMode};
-use sia_snn::{ConvScratch, KernelPolicy, SnnConv, SpikePlane};
+use sia_snn::{ConvScratch, SnnConv, SpikePlane};
 use sia_tensor::Conv2dGeom;
 
 /// A spiking conv stage around `geom` and `weights`; only those two feed
@@ -137,8 +137,8 @@ fn spikes_for(g: &Conv2dGeom, density: f64, rng: &mut TestRng) -> Vec<u8> {
         .collect()
 }
 
-/// Runs every kernel group of the case through both paths under `policy`.
-fn check_case(c: &Case, policy: KernelPolicy) -> Result<(), TestCaseError> {
+/// Runs every kernel group of the case through both paths.
+fn check_case(c: &Case) -> Result<(), TestCaseError> {
     let mut rng = TestRng::seed_from_u64(c.seed);
     let g = c.geom;
     let conv = snn_conv(g, weights_for(&g, c.weights, &mut rng));
@@ -152,7 +152,7 @@ fn check_case(c: &Case, policy: KernelPolicy) -> Result<(), TestCaseError> {
         ..SiaConfig::pynq_z2()
     };
     let mut scratch = ConvScratch::new();
-    let pass = run_layer_pass(&conv, &plane, &cfg, policy, &mut scratch, 0);
+    let pass = run_layer_pass(&conv, &plane, &cfg, &mut scratch, 0);
     let pe = cfg.pe_count();
     for start in (0..g.out_channels).step_by(pe) {
         let size = (g.out_channels - start).min(pe);
@@ -189,9 +189,7 @@ proptest! {
 
     #[test]
     fn layer_pass_matches_pe_oracle_for_every_group(c in case_strategy()) {
-        for policy in [KernelPolicy::Auto, KernelPolicy::ForceSparse, KernelPolicy::ForceDense] {
-            check_case(&c, policy)?;
-        }
+        check_case(&c)?;
     }
 }
 
@@ -217,7 +215,7 @@ fn saturating_rails_fold_in_pe_order() {
         taps_per_cycle: 3,
         seed: 1,
     };
-    check_case(&case, KernelPolicy::Auto).unwrap();
+    check_case(&case).unwrap();
     let conv = snn_conv(
         g,
         weights_for(&g, Weights::Rails, &mut TestRng::seed_from_u64(1)),

@@ -8,9 +8,10 @@ use sia_accel::{compile_for, read_image, write_image, SiaConfig, SiaEngineFactor
 use sia_nn::{ActSpec, BnSpec, ConvSpec, LinearSpec, NetworkSpec, SpecItem};
 use sia_snn::encode::rate_encode;
 use sia_snn::{
-    convert, drive, BatchEvaluator, ConvertOptions, EngineInput, EvalConfig, EvalEncoding,
-    FloatEngineFactory, FloatRunner, InputEncoding, IntEngineFactory, IntRunner, KernelPolicy,
-    SnnItem,
+    conv_psums_f32, conv_psums_f32_plane, conv_psums_int, conv_psums_int_plane, convert, drive,
+    BatchEvaluator, ConvScratch, ConvertOptions, EngineInput, EvalConfig, EvalEncoding,
+    FloatEngineFactory, FloatRunner, InputEncoding, IntEngineFactory, IntRunner, SnnItem,
+    SpikePlane,
 };
 use sia_tensor::{Conv2dGeom, Tensor};
 use std::sync::Arc;
@@ -302,30 +303,42 @@ proptest! {
     }
 
     #[test]
-    fn kernel_policies_agree_on_random_networks(p in params_strategy()) {
-        // The scatter (event-driven) and dense conv kernels must be
-        // interchangeable end to end: identical logits at every timestep
-        // and identical spike counts, on both numeric datapaths.
+    fn spiking_convs_match_byte_references_on_random_networks(
+        p in params_strategy(),
+        rate in 0u64..=100,
+        seed in any::<u64>(),
+    ) {
+        // Every spiking conv of the network — stride-2 block convs and
+        // 1×1 downsamples included — runs the event-driven scatter on the
+        // integer and float datapaths; on a packed plane of the conv's
+        // input shape both must equal the byte-wise references exactly,
+        // saturating tap order and f32 addition order included.
         let spec = build_spec(&p);
         let net = convert(&spec, &ConvertOptions::default());
-        let img = image_for(&p);
-        let mut dense = IntRunner::new(&net);
-        dense.set_kernel_policy(KernelPolicy::ForceDense);
-        let mut sparse = IntRunner::new(&net);
-        sparse.set_kernel_policy(KernelPolicy::ForceSparse);
-        let a = dense.run(&img, 4);
-        let b = sparse.run(&img, 4);
-        prop_assert_eq!(&a.logits_per_t, &b.logits_per_t);
-        prop_assert_eq!(&a.stats.spikes, &b.stats.spikes);
-        let mut fdense = FloatRunner::new(&net);
-        fdense.set_kernel_policy(KernelPolicy::ForceDense);
-        let mut fsparse = FloatRunner::new(&net);
-        fsparse.set_kernel_policy(KernelPolicy::ForceSparse);
-        let fa = fdense.run(&img, 4);
-        let fb = fsparse.run(&img, 4);
-        // same accumulation order ⇒ exact f32 equality, no tolerance
-        prop_assert_eq!(&fa.logits_per_t, &fb.logits_per_t);
-        prop_assert_eq!(&fa.stats.spikes, &fb.stats.spikes);
+        let mut scratch = ConvScratch::new();
+        let mut state = seed | 1;
+        let convs = net.items.iter().flat_map(|item| match item {
+            SnnItem::Conv(c) | SnnItem::ConvPsum(c) => vec![c],
+            SnnItem::BlockAdd(a) => a.down.iter().collect(),
+            _ => Vec::new(),
+        });
+        for (key, conv) in convs.enumerate() {
+            let g = &conv.geom;
+            let bytes: Vec<u8> = (0..g.in_channels * g.in_h * g.in_w)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    u8::from((state >> 33) % 100 < rate)
+                })
+                .collect();
+            let mut plane = SpikePlane::default();
+            plane.pack_from_bytes(g.in_channels, g.in_h, g.in_w, &bytes);
+            let got = conv_psums_int_plane(conv, &plane, &mut scratch, key).to_vec();
+            prop_assert_eq!(got, conv_psums_int(conv, &bytes), "int conv {}", key);
+            let got = conv_psums_f32_plane(conv, &plane, &mut scratch, key).to_vec();
+            prop_assert_eq!(got, conv_psums_f32(conv, &bytes), "f32 conv {}", key);
+        }
     }
 
     #[test]

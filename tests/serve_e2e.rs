@@ -93,18 +93,16 @@ fn assert_bits_eq(a: &[Prediction], b: &[Prediction], context: &str) {
     }
 }
 
-/// Boots a server on an ephemeral port, drives it with `clients`
-/// concurrent keep-alive connections (each posting every image, staggered
-/// so batch windows interleave differently per client), asserts all
-/// clients saw bit-identical answers, shuts down cleanly, and returns the
-/// predictions in image order.
-fn serve_and_predict(
-    path: &str,
-    backend: Backend,
-    threads: usize,
-    images: &[Tensor],
-    clients: usize,
-) -> Vec<Prediction> {
+/// A server bound to an ephemeral port, its accept-loop thread and the
+/// address clients dial.
+type Booted = (
+    Arc<Server>,
+    std::thread::JoinHandle<Result<(), String>>,
+    String,
+);
+
+/// Boots `sia serve` on `path` with `threads` pool workers.
+fn boot(path: &str, backend: Backend, threads: usize) -> Booted {
     let registry = Arc::new(ModelRegistry::new(TIMESTEPS));
     let model = registry.load(path).expect("model loads");
     let server = Server::bind(
@@ -120,7 +118,6 @@ fn serve_and_predict(
             max_batch: 4,
             max_delay_us: 200,
             queue_capacity: 64,
-            kernel_policy: sia_snn::KernelPolicy::Auto,
             exit: sia_snn::ExitPolicy::Fixed,
         },
     )
@@ -130,6 +127,31 @@ fn serve_and_predict(
         let server = Arc::clone(&server);
         std::thread::spawn(move || server.run())
     };
+    (server, run, addr)
+}
+
+/// Writes the tiny model to a per-test temp file and returns its path.
+fn model_path(test: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("sia_serve_e2e_{test}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.sia");
+    std::fs::write(&path, tiny_image_bytes()).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+/// Boots a server on an ephemeral port, drives it with `clients`
+/// concurrent keep-alive connections (each posting every image, staggered
+/// so batch windows interleave differently per client), asserts all
+/// clients saw bit-identical answers, shuts down cleanly, and returns the
+/// predictions in image order.
+fn serve_and_predict(
+    path: &str,
+    backend: Backend,
+    threads: usize,
+    images: &[Tensor],
+    clients: usize,
+) -> Vec<Prediction> {
+    let (server, run, addr) = boot(path, backend, threads);
     let handles: Vec<_> = (0..clients)
         .map(|c| {
             let addr = addr.clone();
@@ -199,11 +221,8 @@ fn offline_classes(path: &str, backend: Backend, images: &[Tensor]) -> Vec<usize
 
 #[test]
 fn served_predictions_match_offline_eval_bit_for_bit_on_every_backend() {
-    let dir = std::env::temp_dir().join("sia_serve_e2e");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model.sia");
-    std::fs::write(&path, tiny_image_bytes()).unwrap();
-    let path = path.to_str().unwrap();
+    let path = model_path("determinism");
+    let path = path.as_str();
     let images = test_images(6);
 
     for backend in [Backend::Float, Backend::Int, Backend::Accel] {
@@ -221,4 +240,50 @@ fn served_predictions_match_offline_eval_bit_for_bit_on_every_backend() {
             "{backend}: served classes diverge from offline eval"
         );
     }
+}
+
+#[test]
+fn hostile_bodies_get_400_and_the_server_keeps_serving() {
+    let path = model_path("hostile");
+    let (server, run, addr) = boot(&path, Backend::Int, 1);
+    let mut client = Client::connect(&addr).expect("client connects");
+    let error_of = |resp: &[u8]| String::from_utf8_lossy(resp).into_owned();
+
+    // A 200 KB nesting bomb: the parser's depth limit answers it, where
+    // unbounded recursion would overflow the stack and abort the process.
+    let bomb = vec![b'['; 200_000];
+    let (status, resp) = client.post("/predict", &bomb).expect("bomb round-trips");
+    assert_eq!(status, 400, "{}", error_of(&resp));
+    assert!(error_of(&resp).contains("nesting"), "{}", error_of(&resp));
+
+    // Values that overflow f32 are rejected by image and value index.
+    let mut image = vec!["0.5".to_string(); 3 * 8 * 8];
+    image[7] = "1e300".to_string();
+    let body = format!(
+        "{{\"images\":[[{}],[{}]]}}",
+        vec!["0.5"; 192].join(","),
+        image.join(",")
+    );
+    let (status, resp) = client
+        .post("/predict", body.as_bytes())
+        .expect("round-trips");
+    assert_eq!(status, 400, "{}", error_of(&resp));
+    assert!(
+        error_of(&resp).contains("image 1 value 7"),
+        "{}",
+        error_of(&resp)
+    );
+
+    // The server is still up and still answers correctly.
+    let (status, _) = client.get("/healthz").expect("healthz round-trips");
+    assert_eq!(status, 200);
+    let body = images_json(&test_images(1));
+    let (status, resp) = client
+        .post("/predict", body.as_bytes())
+        .expect("round-trips");
+    assert_eq!(status, 200, "{}", error_of(&resp));
+    assert_eq!(parse_predictions(&resp).expect("response parses").len(), 1);
+
+    server.request_shutdown();
+    run.join().expect("server thread").expect("server run");
 }

@@ -317,3 +317,131 @@ fn snn_runner_emits_per_timestep_spike_events() {
     assert_eq!(emitted, out.stats.spikes.iter().sum::<u64>());
     assert!(steps.iter().all(|e| e.get("saturated").is_some()));
 }
+
+/// Input conv, then a stride-2 residual block with a 1×1 stride-2
+/// downsample: a spiking stride-2 conv, a psum conv and a downsample conv.
+fn residual_spec() -> NetworkSpec {
+    let geom = |cin, cout, hw, k, stride| Conv2dGeom {
+        in_channels: cin,
+        out_channels: cout,
+        in_h: hw,
+        in_w: hw,
+        kernel: k,
+        stride,
+        padding: k / 2,
+    };
+    let conv = |g: Conv2dGeom, seed, act: Option<f32>| ConvSpec {
+        geom: g,
+        // biased positive so the block sees dense input
+        weights: det_weights(g.weight_count(), seed)
+            .map(|w| w + 0.12)
+            .reshape(vec![g.out_channels, g.in_channels, g.kernel, g.kernel]),
+        bn: None,
+        act: act.map(|step| ActSpec { levels: 8, step }),
+    };
+    NetworkSpec {
+        name: "tap-pin".into(),
+        input: (2, 8, 8),
+        items: vec![
+            SpecItem::Conv(conv(geom(2, 8, 8, 3, 1), 1, Some(0.5))),
+            SpecItem::BlockStart,
+            SpecItem::Conv(conv(geom(8, 16, 8, 3, 2), 2, Some(1.0))),
+            SpecItem::Conv(conv(geom(16, 16, 4, 3, 1), 3, None)),
+            SpecItem::BlockAdd {
+                down: Some(conv(geom(8, 16, 8, 1, 2), 4, None)),
+                act: ActSpec {
+                    levels: 8,
+                    step: 1.0,
+                },
+            },
+            SpecItem::GlobalAvgPool,
+            SpecItem::Linear(LinearSpec {
+                in_features: 16,
+                out_features: 10,
+                weights: det_weights(160, 5).reshape(vec![10, 16]),
+                bias: vec![0.0; 10],
+            }),
+        ],
+    }
+}
+
+/// Every spiking conv runs the event-driven scatter, so each `snn.stage`
+/// event reports exactly `spikes·K²` processed taps and `silent·K²`
+/// skipped ones, summed over the convs whose taps the stage reports (a
+/// psum conv and a downsample report through their closing `BlockAdd`).
+/// The stride-2 conv's input is dense enough that a density-gated dense
+/// kernel would take it and report no skipped taps.
+#[test]
+fn stage_taps_are_input_spikes_times_kernel_area() {
+    let _guard = sink_lock();
+    let net = convert(&residual_spec(), &ConvertOptions::default());
+    let timesteps = 4u64;
+    sia_telemetry::install_jsonl(None).unwrap();
+    let out = IntRunner::new(&net).run(&image(), timesteps as usize);
+    let bytes = sia_telemetry::uninstall_jsonl();
+    let text = String::from_utf8(bytes).expect("sink produced non-UTF8");
+    let stage_taps = |name: &str| -> (u64, u64) {
+        let e = text
+            .lines()
+            .filter_map(|l| parse(l).ok())
+            .find(|e| {
+                e.get("ev").and_then(Json::as_str) == Some("snn.stage")
+                    && e.get("name").and_then(Json::as_str) == Some(name)
+            })
+            .unwrap_or_else(|| panic!("no snn.stage event for {name}"));
+        let field = |k: &str| e.get(k).and_then(Json::as_u64).unwrap();
+        (field("taps_processed"), field("taps_skipped"))
+    };
+
+    // (Σ input spikes · K², Σ input neurons · K² · T) of one conv, whose
+    // input plane is the output of stage `src`
+    let conv_taps = |c: &sia_snn::SnnConv, src: usize| {
+        let g = &c.geom;
+        let k2 = (g.kernel * g.kernel) as u64;
+        let neurons = (g.in_channels * g.in_h * g.in_w) as u64;
+        (out.stats.spikes[src] * k2, neurons * k2 * timesteps)
+    };
+    let add = |a: (u64, u64), b: (u64, u64)| (a.0 + b.0, a.1 + b.1);
+    let mut stage = 0usize;
+    let (mut cur, mut skip) = (0usize, 0usize);
+    let mut pending = (0u64, 0u64);
+    let mut checked = 0;
+    for item in &net.items {
+        let want = match item {
+            SnnItem::InputConv(_) => Some((0, 0)),
+            SnnItem::Conv(c) => Some(conv_taps(c, cur)),
+            SnnItem::ConvPsum(c) => {
+                pending = add(pending, conv_taps(c, cur));
+                None
+            }
+            SnnItem::BlockStart => {
+                skip = cur;
+                None
+            }
+            SnnItem::BlockAdd(a) => {
+                let down = a.down.as_ref().map_or((0, 0), |d| conv_taps(d, skip));
+                Some(add(std::mem::take(&mut pending), down))
+            }
+            SnnItem::MaxPoolOr { .. } => unreachable!("no pool in this net"),
+            SnnItem::Head(_) => None,
+        };
+        if let Some((processed, total)) = want {
+            let name = &out.stats.names[stage];
+            let (got_processed, got_skipped) = stage_taps(name);
+            assert_eq!(got_processed, processed, "{name}: processed taps");
+            assert_eq!(got_processed + got_skipped, total, "{name}: all taps");
+            cur = stage;
+            stage += 1;
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 3, "input conv, stride-2 conv, block add");
+
+    // the stride-2 conv's input (the input conv's output) is dense
+    let input_neurons = 8 * 8 * 8 * timesteps;
+    assert!(
+        out.stats.spikes[0] * 5 > input_neurons,
+        "stride-2 conv input density {} is too low to pin the kernel",
+        out.stats.spikes[0] as f64 / input_neurons as f64
+    );
+}
