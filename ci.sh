@@ -41,6 +41,12 @@ echo "==> tier-1: release build + root tests"
 cargo build --release
 cargo test -q
 
+# The benchmark (perfbench/, a Cargo workspace of its own) builds against
+# the repository's crates by path: build it here so a crate-API change
+# that breaks it fails CI instead of the benchmark run.
+echo "==> perfbench builds against the current crates"
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+
 # Schedule exploration of the pool/serve concurrency protocols: the
 # production code (generic over SyncOps, instantiated at ModelSync) runs
 # under exhaustive bounded-preemption DFS plus a seeded random walk, and

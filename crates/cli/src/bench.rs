@@ -281,8 +281,8 @@ fn bench_gemm(_args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
     })
 }
 
-/// Micro-benchmarks the spiking conv kernel: the word-parallel
-/// event-driven scatter (the production path on every backend) against the
+/// Micro-benchmarks the spiking conv kernel: the row-run event-driven
+/// scatter (the production path on every backend) against the
 /// scalar scatter, the scalar dense gather and the byte-wise reference,
 /// asserting bit-exactness of every kernel at every density before timing
 /// anything.
@@ -300,49 +300,58 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
     };
     use sia_tensor::Conv2dGeom;
 
-    // Representative mid-network residual-stage geometry (scaled down in
-    // smoke mode, where only the equivalence asserts matter).
-    let (ch, hw, iters, ref_iters) = if smoke {
-        (8, 8, 7u32, 7u32)
+    // Case sets, each `(name prefix, channels, side)` at k3 s1 p1: a
+    // representative mid-network residual-stage geometry and the narrow
+    // (C_out < 16 lanes) stage-1 conv of the ResNet-18 w8 32×32 model the
+    // `eval-offline` benchmark runs. Smoke mode runs one small 8-channel
+    // set, where only the equivalence asserts matter.
+    let (sets, iters, ref_iters): (&[(&str, usize, usize)], u32, u32) = if smoke {
+        (&[("", 8, 8)], 7, 7)
     } else {
-        (32, 16, 200, 20)
+        (&[("", 32, 16), ("c8s32-", 8, 32)], 200, 20)
     };
-    let geom = Conv2dGeom {
-        in_channels: ch,
-        out_channels: ch,
-        in_h: hw,
-        in_w: hw,
-        kernel: 3,
-        stride: 1,
-        padding: 1,
+    let make_conv = |ch: usize, hw: usize| {
+        let geom = Conv2dGeom {
+            in_channels: ch,
+            out_channels: ch,
+            in_h: hw,
+            in_w: hw,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        SnnConv {
+            geom,
+            weights: (0..geom.weight_count())
+                .map(|i| (((i * 31) % 255) as i32 - 127) as i8)
+                .collect(),
+            q_w: QuantScale::new(7),
+            input: ConvInput::Spikes { value: 1.0 },
+            g: vec![Q8_8::ONE; ch],
+            h: vec![0; ch],
+            theta: 128,
+            nu: 1.0 / 128.0,
+            gf: vec![1.0; ch],
+            hf: vec![0.0; ch],
+            step: 1.0,
+            levels: 8,
+            mode: NeuronMode::If,
+        }
     };
-    let conv = SnnConv {
-        geom,
-        weights: (0..geom.weight_count())
-            .map(|i| (((i * 31) % 255) as i32 - 127) as i8)
-            .collect(),
-        q_w: QuantScale::new(7),
-        input: ConvInput::Spikes { value: 1.0 },
-        g: vec![Q8_8::ONE; ch],
-        h: vec![0; ch],
-        theta: 128,
-        nu: 1.0 / 128.0,
-        gf: vec![1.0; ch],
-        hf: vec![0.0; ch],
-        step: 1.0,
-        levels: 8,
-        mode: NeuronMode::If,
-    };
+    let convs: Vec<SnnConv> = sets.iter().map(|&(_, ch, hw)| make_conv(ch, hw)).collect();
 
     struct Case {
+        name: String,
+        /// Index into `convs` and `scrs`.
+        set: usize,
         pct: u32,
         bytes: Vec<u8>,
         plane: SpikePlane,
         measured_density: f64,
     }
-    let cases_in: Vec<Case> = [1u32, 5, 10, 25, 50, 100]
-        .iter()
-        .map(|&pct| {
+    let mut cases_in: Vec<Case> = Vec::new();
+    for (set, &(prefix, ch, hw)) in sets.iter().enumerate() {
+        for pct in [1u32, 5, 10, 25, 50, 100] {
             let n = ch * hw * hw;
             let mut state = u64::from(pct) << 17 | 1;
             let bytes: Vec<u8> = (0..n)
@@ -353,51 +362,60 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
                     u8::from((state >> 33) % 100 < u64::from(pct))
                 })
                 .collect();
-            let set = bytes.iter().map(|&b| u32::from(b)).sum::<u32>();
+            let set_bits = bytes.iter().map(|&b| u32::from(b)).sum::<u32>();
             let mut plane = SpikePlane::default();
             plane.pack_from_bytes(ch, hw, hw, &bytes);
-            Case {
+            cases_in.push(Case {
+                name: format!("{prefix}d{pct:03}"),
+                set,
                 pct,
-                measured_density: f64::from(set) / n as f64,
+                measured_density: f64::from(set_bits) / n as f64,
                 bytes,
                 plane,
-            }
-        })
-        .collect();
+            });
+        }
+    }
+
+    // One scratch per set: the kernel caches one layer's weight layout, so
+    // a shared scratch would time a rebuild whenever the round crosses sets.
+    let mut scrs: Vec<ConvScratch> = sets.iter().map(|_| ConvScratch::new()).collect();
 
     // Bit-exactness gate: never time a kernel that disagrees with the
     // byte-wise reference.
-    let mut scr = ConvScratch::new();
     for c in &cases_in {
-        let reference = conv_psums_int(&conv, &c.bytes);
+        let (conv, scr) = (&convs[c.set], &mut scrs[c.set]);
+        let reference = conv_psums_int(conv, &c.bytes);
         let checks: [(&str, Vec<i16>); 3] = [
             (
                 "scatter",
-                conv_psums_int_scatter(&conv, &c.plane, &mut scr, 0).to_vec(),
+                conv_psums_int_scatter(conv, &c.plane, scr, 0).to_vec(),
             ),
             (
                 "scalar scatter",
-                conv_psums_int_scatter_scalar(&conv, &c.plane, &mut scr, 0).to_vec(),
+                conv_psums_int_scatter_scalar(conv, &c.plane, scr, 0).to_vec(),
             ),
             (
                 "gather",
-                conv_psums_int_gather_ref(&conv, &c.plane, &mut scr).to_vec(),
+                conv_psums_int_gather_ref(conv, &c.plane, scr).to_vec(),
             ),
         ];
         for (kernel, got) in checks {
             if got != reference {
                 return Err(format!(
-                    "{kernel} kernel diverges from the byte reference at {}% density",
-                    c.pct
+                    "{kernel} kernel diverges from the byte reference at {}% density \
+                     (case {})",
+                    c.pct, c.name
                 ));
             }
         }
     }
 
-    println!(
-        "conv {ch}x{hw}x{hw} k3 s1 p1, {iters} iters/kernel{}",
-        if smoke { " (smoke)" } else { "" }
-    );
+    for &(prefix, ch, hw) in sets {
+        println!(
+            "conv {prefix}*: {ch}x{hw}x{hw} k3 s1 p1, {iters} iters/kernel{}",
+            if smoke { " (smoke)" } else { "" }
+        );
+    }
 
     // Interleaved timing: round-robin across every (case, kernel) pair.
     let ncases = cases_in.len();
@@ -412,23 +430,21 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
     };
     for round in 0..iters {
         for (i, c) in cases_in.iter().enumerate() {
+            let (conv, scr) = (&convs[c.set], &mut scrs[c.set]);
             scatter_s[i].push(time_ns(&mut || {
-                black_box(conv_psums_int_scatter(&conv, black_box(&c.plane), &mut scr, 0).len());
+                black_box(conv_psums_int_scatter(conv, black_box(&c.plane), scr, 0).len());
             }));
             if round < ref_iters {
                 scalar_min[i] = scalar_min[i].min(time_ns(&mut || {
                     black_box(
-                        conv_psums_int_scatter_scalar(&conv, black_box(&c.plane), &mut scr, 0)
-                            .len(),
+                        conv_psums_int_scatter_scalar(conv, black_box(&c.plane), scr, 0).len(),
                     );
                 }));
                 gather_min[i] = gather_min[i].min(time_ns(&mut || {
-                    black_box(
-                        conv_psums_int_gather_ref(&conv, black_box(&c.plane), &mut scr).len(),
-                    );
+                    black_box(conv_psums_int_gather_ref(conv, black_box(&c.plane), scr).len());
                 }));
                 byte_min[i] = byte_min[i].min(time_ns(&mut || {
-                    black_box(conv_psums_int(&conv, black_box(&c.bytes)).len());
+                    black_box(conv_psums_int(conv, black_box(&c.bytes)).len());
                 }));
             }
         }
@@ -439,8 +455,8 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
     }
 
     println!(
-        "{:>8} {:>9} {:>10} {:>10} {:>11} {:>8} {:>8}",
-        "density", "measured", "scatter", "scalar", "gather", "x scal", "x dense"
+        "{:>12} {:>9} {:>10} {:>10} {:>11} {:>8} {:>8}",
+        "case", "measured", "scatter", "scalar", "gather", "x scal", "x dense"
     );
     let mut cases = Vec::new();
     for (i, c) in cases_in.iter().enumerate() {
@@ -448,8 +464,8 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
         let speedup_vs_scalar = scalar_min[i] as f64 / min.max(1) as f64;
         let speedup_vs_dense = gather_min[i] as f64 / min.max(1) as f64;
         println!(
-            "{:>7}% {:>8.1}% {min:>10} {:>10} {:>11} {:>7.2}x {:>7.1}x",
-            c.pct,
+            "{:>12} {:>8.1}% {min:>10} {:>10} {:>11} {:>7.2}x {:>7.1}x",
+            c.name,
             100.0 * c.measured_density,
             scalar_min[i],
             gather_min[i],
@@ -457,7 +473,7 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
             speedup_vs_dense,
         );
         cases.push(BenchCase {
-            name: format!("d{:03}", c.pct),
+            name: c.name.clone(),
             iters: u64::from(iters - 1),
             warmup: 1,
             min_ns: min,

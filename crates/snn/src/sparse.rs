@@ -7,37 +7,76 @@
 //! the SIA's event-driven PE accumulation (paper Fig. 3), where a silent
 //! input costs nothing.
 //!
+//! ## Row runs
+//!
+//! The production integer kernel mirrors the paper's PE, which takes a
+//! whole kernel row per clock (§III-A, Fig. 3): for each spike and each
+//! valid kernel row it does **one** contiguous add of a precomputed weight
+//! *run* into a column-padded channels-last psum plane, instead of `K`
+//! separate `C_out`-wide per-tap adds.
+//!
+//! * **Weight runs.** With `m = ⌈K / stride⌉`, a spike at input column `x`
+//!   has residue `r = (x + pad) mod stride` and reaches output columns
+//!   `q − (m−1) ..= q`, `q = (x + pad) / stride`, through the taps
+//!   `kx = r + (m−1−t)·stride` (slot `t = 0..m`, *descending* `kx`, so the
+//!   output columns ascend). For each `(ci, ky, r)` the run stores those
+//!   `m` slots of `C_out` weights back to back, a slot whose `kx ≥ K`
+//!   holding zeros, and the run is zero-extended to a whole number of
+//!   [`LANES`] blocks (C_out = 8, K = 3, stride 1: 24 weights in 32 lanes).
+//!   A spike with `r ≥ K` has no taps and is skipped.
+//! * **Psum plane.** Channels-last `[OH, PW, C_out]` with `m−1` padding
+//!   columns on the left and `m` on the right (`PW = OW + 2m − 1`), plus
+//!   one run of slack at the end. Output column `ox` lives at padded
+//!   column `ox + m − 1`, so the spike's run starts at padded column `q`
+//!   for every kernel row: slots for `ox < 0` or `ox ≥ OW` land in that
+//!   row's padding columns, and the zero-extension lanes spill at most
+//!   `LANES − 1` lanes further.
+//! * **Kernel rows.** The valid `(ky, oy)` pairs depend only on the input
+//!   row, so they are computed once per row (a `j` range with
+//!   `ky = ry + j·stride`, `oy = qy − j`), never per spike; a row with no
+//!   valid output row skips its spikes entirely.
+//! * **Output.** One transpose to canonical `[C_out, OH, OW]`, which drops
+//!   the padding columns.
+//!
 //! ## Bit-exactness
 //!
 //! Saturating 16-bit accumulation makes the addition order observable, so
-//! the scatter loop must deliver contributions to each output accumulator
-//! in exactly the reference order `(ci asc, ky asc, kx asc)`:
+//! every real accumulator must receive its contributions in exactly the
+//! reference order `(ci asc, ky asc, kx asc)`:
 //!
 //! * `ci` is the scatter loop's outermost dimension — same order;
 //! * for a fixed output row `oy`, the contributing input row is
 //!   `iy = oy·stride + ky − pad`, strictly increasing in `ky`, so visiting
-//!   input rows ascending visits `ky` ascending;
+//!   input rows ascending visits `ky` ascending, and one input row feeds a
+//!   given `oy` through at most one `ky`;
 //! * within one input row, set bits are visited with `x` ascending; for a
 //!   fixed output column `ox` the tap is `kx = x − ox·stride + pad`,
-//!   strictly increasing in `x`, so `kx` is visited ascending.
+//!   strictly increasing in `x`, so `kx` is visited ascending, and one
+//!   spike's run holds at most one slot per output column.
 //!
-//! The `co` loop is innermost (contiguous in both the transposed weights
-//! and the channels-last psums) — its position is free because different
-//! `co` values write disjoint accumulators. A final value-preserving
-//! transpose restores the canonical `[C_out, OH, OW]` layout. The
-//! equivalence is enforced bit-for-bit by proptests
+//! The run's extra lanes change nothing: a zero slot or zero-extension
+//! lane adds `0`, and `p.saturating_add(0) == p` for every `p`, rails
+//! included, so wherever such a lane lands — a padding column, the slack,
+//! or a real accumulator of a later column or row — that accumulator's
+//! value and the order of its real taps are untouched. Real weights only
+//! land in a padding column when their output column is out of range, and
+//! padding columns are never read. The scalar [`scatter`] (per-tap adds
+//! over `[(ci, ky, kx), co]`-transposed weights) is kept as the
+//! iteration-order oracle; the equivalence with it and with the byte
+//! reference is enforced bit-for-bit by proptests
 //! (`crates/snn/tests/sparse_dense.rs`).
 //!
 //! ## Word-level parallelism
 //!
-//! The production integer kernel runs `i16` lanes in parallel without
-//! perturbing a single accumulator: the scatter's innermost `co` sweep is
-//! unrolled into [`LANES`]-wide fixed blocks ([`add_weight_lanes`]). Each
-//! lane is a *different* accumulator, so blocking never reorders any one
-//! accumulator's additions, and the autovectorizer lifts the block into
-//! saturating i16 SIMD adds (`PADDSW`-class instructions — the software
-//! image of one PE-array row accumulating eight output channels per
-//! clock).
+//! A run is a whole number of [`LANES`]-wide blocks, so every add is
+//! blocked ([`add_weight_lanes`]) and none falls to a scalar tail, whatever
+//! `C_out`: narrow layers fill their lanes with adjacent output columns
+//! (`C_out = 8`: two blocks per kernel row instead of three 8-lane scalar
+//! tails). Each lane is a *different* accumulator, so blocking never
+//! reorders any one accumulator's additions, and the autovectorizer lifts
+//! the block into saturating i16 SIMD adds (`PADDSW`-class instructions —
+//! the software image of one PE-array row accumulating a kernel row of
+//! output channels per clock).
 //!
 //! ## One kernel
 //!
@@ -60,8 +99,8 @@ use sia_tensor::Conv2dGeom;
 pub const LANES: usize = 16;
 
 /// Reusable per-engine convolution scratch: psum buffers (canonical and
-/// channels-last), a transposed-weight cache keyed by layer, and the
-/// event-driven tap accounting surfaced through `Engine::stage_taps`.
+/// channels-last), single-entry weight-layout caches keyed by layer, and
+/// the event-driven tap accounting surfaced through `Engine::stage_taps`.
 #[derive(Clone, Debug, Default)]
 pub struct ConvScratch {
     psum_i: Vec<i16>,
@@ -70,6 +109,8 @@ pub struct ConvScratch {
     psum_cl_f: Vec<f32>,
     psum_d32: Vec<i32>,
     psum_df: Vec<f32>,
+    runs_i: Vec<i8>,
+    runs_i_key: Option<usize>,
     wt_i: Vec<i8>,
     wt_i_key: Option<usize>,
     wt_f: Vec<f32>,
@@ -106,8 +147,58 @@ fn account_taps(scr: &mut ConvScratch, g: &Conv2dGeom, spikes: u64) {
     scr.taps_skipped += (neurons - spikes) * k2;
 }
 
-/// Weights transposed to `[(ci, ky, kx), co]` so the scatter inner loop is
-/// contiguous, built into `wt` (scratch-tracked).
+/// Row-run shape of a conv geometry (see the module docs).
+#[derive(Clone, Copy, Debug)]
+struct RunGeom {
+    /// Output columns one run spans: `⌈K / stride⌉`.
+    m: usize,
+    /// Column residues that carry taps: `min(stride, K)`.
+    residues: usize,
+    /// Lanes per run: `m·C_out` rounded up to whole [`LANES`] blocks.
+    run_len: usize,
+    /// Padded psum-plane width: `(m − 1) + OW + m` columns.
+    pw: usize,
+}
+
+impl RunGeom {
+    fn new(g: &Conv2dGeom) -> Self {
+        let m = g.kernel.div_ceil(g.stride);
+        Self {
+            m,
+            residues: g.stride.min(g.kernel),
+            run_len: (m * g.out_channels).next_multiple_of(LANES),
+            pw: g.out_hw().1 + 2 * m - 1,
+        }
+    }
+}
+
+/// Row-run weight layout `[(ci, ky, r), slot, co]`, each run zero-extended
+/// to `run_len` lanes, built into `runs` (scratch-tracked). Slot `t` of
+/// residue `r` holds tap `kx = r + (m−1−t)·stride`, or zeros if `kx ≥ K`.
+fn build_runs_int(conv: &SnnConv, rg: &RunGeom, runs: &mut Vec<i8>) {
+    let g = &conv.geom;
+    let (cout, k) = (g.out_channels, g.kernel);
+    scratch_resize(runs, g.in_channels * k * rg.residues * rg.run_len, 0);
+    let mut dst = runs.chunks_exact_mut(rg.run_len);
+    for ci in 0..g.in_channels {
+        for ky in 0..k {
+            for r in 0..rg.residues {
+                let run = dst.next().expect("one run per (ci, ky, r)");
+                for (t, slot) in run.chunks_exact_mut(cout).take(rg.m).enumerate() {
+                    let kx = r + (rg.m - 1 - t) * g.stride;
+                    if kx < k {
+                        for (co, w) in slot.iter_mut().enumerate() {
+                            *w = conv.weight(co, ci, ky, kx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Weights transposed to `[(ci, ky, kx), co]` for the scalar oracle
+/// scatter, built into `wt` (scratch-tracked).
 fn build_wt_int(conv: &SnnConv, wt: &mut Vec<i8>) {
     let g = &conv.geom;
     let (cout, cin, k) = (g.out_channels, g.in_channels, g.kernel);
@@ -194,21 +285,11 @@ fn scatter<W: Copy, A: Copy>(
     }
 }
 
-/// Valid stride-1 kernel offsets for padded input coordinate `ipad`:
-/// `kk` such that `out = ipad − kk` lands in `[0, o_len)`, as a
-/// `lo..hi` range (ascending `kk` ⇒ reference tap order).
-#[inline]
-fn tap_range(ipad: usize, k: usize, o_len: usize) -> (usize, usize) {
-    let hi = (ipad + 1).min(k);
-    let lo = (ipad + 1).saturating_sub(o_len).min(hi);
-    (lo, hi)
-}
-
-/// One spike tap, word-parallel: folds a transposed weight row into a
-/// channels-last psum row in [`LANES`]-wide blocks. Every lane is a
-/// distinct `co` accumulator, so blocking cannot reorder any single
-/// accumulator's additions; the scalar tail applies the identical
-/// `acc_weight` op, so the lane count never changes values.
+/// One weight run, word-parallel: folds it into the psum plane in
+/// [`LANES`]-wide blocks. Every lane is a distinct accumulator, so blocking
+/// cannot reorder any single accumulator's additions. Runs are whole
+/// blocks, so the scalar tail (the identical `acc_weight` op) never runs
+/// on them.
 #[inline]
 fn add_weight_lanes(prow: &mut [i16], wrow: &[i8]) {
     zip_blocks_mut::<LANES, _, _>(
@@ -223,80 +304,73 @@ fn add_weight_lanes(prow: &mut [i16], wrow: &[i8]) {
     );
 }
 
-/// Word-parallel integer scatter: identical tap visit order to
-/// [`scatter`], with the innermost `co` sweep unrolled via
-/// [`add_weight_lanes`]. Stride-1 planes additionally take a branch-free
-/// tap-range fast path (no divisibility tests in the per-spike loop).
-fn scatter_int_wide(g: &Conv2dGeom, wt: &[i8], plane: &SpikePlane, psum_cl: &mut [i16]) {
-    let (oh, ow) = g.out_hw();
-    let (k, cout) = (g.kernel, g.out_channels);
-    if g.stride == 1 {
-        let pad = g.padding;
-        for ci in 0..g.in_channels {
-            for iy in 0..g.in_h {
-                let (ky_lo, ky_hi) = tap_range(iy + pad, k, oh);
-                plane.for_each_set_in_row(ci, iy, |x| {
-                    let (kx_lo, kx_hi) = tap_range(x + pad, k, ow);
-                    for ky in ky_lo..ky_hi {
-                        let oy = iy + pad - ky;
-                        let trow = (ci * k + ky) * k;
-                        for kx in kx_lo..kx_hi {
-                            let ox = x + pad - kx;
-                            let wrow = &wt[(trow + kx) * cout..][..cout];
-                            let prow = &mut psum_cl[(oy * ow + ox) * cout..][..cout];
-                            add_weight_lanes(prow, wrow);
-                        }
-                    }
-                });
+/// Row-run integer scatter: for every set spike bit and every valid kernel
+/// row, one blocked add of the `(ci, ky, r)` weight run into the padded
+/// channels-last psum plane (see the module docs for the layout and the
+/// order proof).
+fn scatter_int_runs(
+    g: &Conv2dGeom,
+    rg: &RunGeom,
+    runs: &[i8],
+    plane: &SpikePlane,
+    psum: &mut [i16],
+) {
+    let oh = g.out_hw().0;
+    let (k, s, pad, cout) = (g.kernel, g.stride, g.padding, g.out_channels);
+    let RunGeom {
+        residues,
+        run_len,
+        pw,
+        ..
+    } = *rg;
+    for ci in 0..g.in_channels {
+        for iy in 0..g.in_h {
+            // ky = ry + j·s feeds oy = qy − j: valid for j < ⌈(K − ry)/s⌉,
+            // j ≤ qy and qy − j < OH. Ascending j is ascending ky.
+            let (qy, ry) = ((iy + pad) / s, (iy + pad) % s);
+            if ry >= k {
+                continue;
             }
-        }
-    } else {
-        // General stride: same validity walk as the scalar core.
-        let pad = g.padding as isize;
-        let stride = g.stride as isize;
-        for ci in 0..g.in_channels {
-            for iy in 0..g.in_h {
-                plane.for_each_set_in_row(ci, iy, |x| {
-                    for ky in 0..k {
-                        let oy_num = iy as isize + pad - ky as isize;
-                        if oy_num < 0 {
-                            break;
-                        }
-                        if oy_num % stride != 0 {
-                            continue;
-                        }
-                        let oy = (oy_num / stride) as usize;
-                        if oy >= oh {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ox_num = x as isize + pad - kx as isize;
-                            if ox_num < 0 {
-                                break;
-                            }
-                            if ox_num % stride != 0 {
-                                continue;
-                            }
-                            let ox = (ox_num / stride) as usize;
-                            if ox >= ow {
-                                continue;
-                            }
-                            let wrow = &wt[((ci * k + ky) * k + kx) * cout..][..cout];
-                            let prow = &mut psum_cl[(oy * ow + ox) * cout..][..cout];
-                            add_weight_lanes(prow, wrow);
-                        }
-                    }
-                });
+            let j_lo = (qy + 1).saturating_sub(oh);
+            let j_hi = (k - ry).div_ceil(s).min(qy + 1);
+            if j_lo >= j_hi {
+                continue;
             }
+            let run_row = (ci * k + ry) * residues;
+            plane.for_each_set_in_row(ci, iy, |x| {
+                let xp = x + pad;
+                // stride 1 (most layers) needs no per-spike division
+                let (q, r) = if s == 1 { (xp, 0) } else { (xp / s, xp % s) };
+                if r >= k {
+                    return;
+                }
+                for j in j_lo..j_hi {
+                    let run = &runs[(run_row + j * s * residues + r) * run_len..][..run_len];
+                    let dst = &mut psum[((qy - j) * pw + q) * cout..][..run_len];
+                    add_weight_lanes(dst, run);
+                }
+            });
         }
     }
 }
 
-/// Channels-last → canonical `[C_out, OH, OW]` (value-preserving).
-fn transpose_cl<A: Copy>(cl: &[A], out: &mut [A], cout: usize, per_ch: usize) {
-    for p in 0..per_ch {
-        for co in 0..cout {
-            out[co * per_ch + p] = cl[p * cout + co];
+/// Channels-last `[OH, PW, C_out]` → canonical `[C_out, OH, OW]`
+/// (value-preserving); output column `ox` sits at column `ox + lpad` of
+/// a `pw`-wide row, and the padding columns are dropped.
+fn transpose_cl<A: Copy>(
+    cl: &[A],
+    out: &mut [A],
+    cout: usize,
+    (oh, ow): (usize, usize),
+    pw: usize,
+    lpad: usize,
+) {
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let src = &cl[(oy * pw + ox + lpad) * cout..][..cout];
+            for (co, &v) in src.iter().enumerate() {
+                out[(co * oh + oy) * ow + ox] = v;
+            }
         }
     }
 }
@@ -341,49 +415,11 @@ fn check_plane(g: &Conv2dGeom, plane: &SpikePlane) {
     );
 }
 
-/// Ensures the transposed integer weight cache holds layer `key`.
-fn ensure_wt_int(conv: &SnnConv, scr: &mut ConvScratch, key: usize) {
-    if scr.wt_i_key != Some(key) {
-        build_wt_int(conv, &mut scr.wt_i);
-        scr.wt_i_key = Some(key);
-    }
-}
-
-/// Scatter pipeline shared by the word-parallel production kernel and the
-/// scalar reference: build/reuse transposed weights, scatter into the
-/// channels-last psums, transpose to canonical layout.
-fn run_scatter_int<'a>(
-    conv: &SnnConv,
-    plane: &SpikePlane,
-    scr: &'a mut ConvScratch,
-    key: usize,
-    wide: bool,
-) -> &'a [i16] {
-    let g = &conv.geom;
-    let (oh, ow) = g.out_hw();
-    let n_out = g.out_channels * oh * ow;
-    ensure_wt_int(conv, scr, key);
-    let ConvScratch {
-        psum_i,
-        psum_cl_i,
-        wt_i,
-        ..
-    } = scr;
-    scratch_resize(psum_cl_i, n_out, 0);
-    if wide {
-        scatter_int_wide(g, wt_i, plane, psum_cl_i);
-    } else {
-        scatter(g, wt_i, plane, psum_cl_i, acc_weight);
-    }
-    scratch_resize(psum_i, n_out, 0);
-    transpose_cl(psum_cl_i, psum_i, g.out_channels, oh * ow);
-    &scr.psum_i
-}
-
-/// Direct entry to the word-parallel scatter: [`conv_psums_int_plane`]
-/// without the tap accounting. The SIA machine's PE-array pass calls it
-/// (PL stages report PE segments, not taps), as do `sia bench conv` and
-/// the proptests.
+/// Direct entry to the row-run scatter: [`conv_psums_int_plane`] without
+/// the tap accounting. The SIA machine's PE-array pass calls it (PL stages
+/// report PE segments, not taps), as do `sia bench conv` and the
+/// proptests. `key` identifies the layer for the single-entry weight-run
+/// cache.
 ///
 /// # Panics
 ///
@@ -394,12 +430,30 @@ pub fn conv_psums_int_scatter<'a>(
     scr: &'a mut ConvScratch,
     key: usize,
 ) -> &'a [i16] {
-    check_plane(&conv.geom, plane);
-    run_scatter_int(conv, plane, scr, key, true)
+    let g = &conv.geom;
+    check_plane(g, plane);
+    let rg = RunGeom::new(g);
+    if scr.runs_i_key != Some(key) {
+        build_runs_int(conv, &rg, &mut scr.runs_i);
+        scr.runs_i_key = Some(key);
+    }
+    let (oh, ow) = g.out_hw();
+    let ConvScratch {
+        psum_i,
+        psum_cl_i,
+        runs_i,
+        ..
+    } = scr;
+    scratch_resize(psum_cl_i, oh * rg.pw * g.out_channels + rg.run_len, 0);
+    scatter_int_runs(g, &rg, runs_i, plane, psum_cl_i);
+    scratch_resize(psum_i, g.out_channels * oh * ow, 0);
+    transpose_cl(psum_cl_i, psum_i, g.out_channels, (oh, ow), rg.pw, rg.m - 1);
+    &scr.psum_i
 }
 
-/// Direct entry to the scalar (pre-word-parallel) scatter, kept as the
-/// like-for-like speedup reference and iteration-order oracle.
+/// Direct entry to the scalar per-tap scatter over `[(ci, ky, kx), co]`
+/// weights, kept as the like-for-like speedup reference and
+/// iteration-order oracle.
 ///
 /// # Panics
 ///
@@ -410,8 +464,25 @@ pub fn conv_psums_int_scatter_scalar<'a>(
     scr: &'a mut ConvScratch,
     key: usize,
 ) -> &'a [i16] {
-    check_plane(&conv.geom, plane);
-    run_scatter_int(conv, plane, scr, key, false)
+    let g = &conv.geom;
+    check_plane(g, plane);
+    if scr.wt_i_key != Some(key) {
+        build_wt_int(conv, &mut scr.wt_i);
+        scr.wt_i_key = Some(key);
+    }
+    let (oh, ow) = g.out_hw();
+    let n_out = g.out_channels * oh * ow;
+    let ConvScratch {
+        psum_i,
+        psum_cl_i,
+        wt_i,
+        ..
+    } = scr;
+    scratch_resize(psum_cl_i, n_out, 0);
+    scatter(g, wt_i, plane, psum_cl_i, acc_weight);
+    scratch_resize(psum_i, n_out, 0);
+    transpose_cl(psum_cl_i, psum_i, g.out_channels, (oh, ow), ow, 0);
+    &scr.psum_i
 }
 
 /// Direct entry to the naive branchy dense gather: a bit-exactness oracle
@@ -435,10 +506,10 @@ pub fn conv_psums_int_gather_ref<'a>(
 }
 
 /// Integer partial sums from a packed spike plane through the
-/// word-parallel event-driven scatter, bit-exact with
+/// row-run event-driven scatter, bit-exact with
 /// [`crate::runner::conv_psums_int`]. Adds the call's taps to the scratch
 /// counters: `spikes·K²` processed, `silent·K²` skipped. `key` identifies
-/// the layer for the transposed-weight cache (stable per engine, e.g.
+/// the layer for the weight-run cache (stable per engine, e.g.
 /// `item_index * 2 + is_downsample`).
 ///
 /// # Panics
@@ -454,9 +525,10 @@ pub fn conv_psums_int_plane<'a>(
     conv_psums_int_scatter(conv, plane, scr, key)
 }
 
-/// Float twin of [`conv_psums_int_plane`] (same iteration order and tap
-/// accounting, `f32` accumulation — addition order preserved, so results
-/// match [`crate::runner::conv_psums_f32`] exactly).
+/// Float twin of [`conv_psums_int_plane`] through the scalar per-tap
+/// scatter (same per-accumulator tap order and tap accounting, `f32`
+/// accumulation — addition order preserved, so results match
+/// [`crate::runner::conv_psums_f32`] exactly).
 ///
 /// # Panics
 ///
@@ -485,7 +557,7 @@ pub fn conv_psums_f32_plane<'a>(
     scratch_resize(psum_cl_f, n_out, 0.0);
     scatter(g, wt_f, plane, psum_cl_f, |a, w| a + w);
     scratch_resize(psum_f, n_out, 0.0);
-    transpose_cl(psum_cl_f, psum_f, g.out_channels, oh * ow);
+    transpose_cl(psum_cl_f, psum_f, g.out_channels, (oh, ow), ow, 0);
     &scr.psum_f
 }
 
@@ -646,6 +718,56 @@ mod tests {
                 assert_eq!(scalar, reference, "scalar scatter case {i} rate {rate}");
                 let gather = conv_psums_int_gather_ref(&conv, &plane, &mut scr).to_vec();
                 assert_eq!(gather, reference, "gather case {i} rate {rate}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_edge_spikes_match_dense_reference() {
+        // One spike at each corner and edge midpoint: pins the row-run
+        // padding columns (runs hanging off either side of the plane), the
+        // per-row (ky, oy) range at the top and bottom edges, and the
+        // r ≥ K skip (K = 1 at stride 2 drops odd padded columns).
+        let mut scr = ConvScratch::new();
+        let mut key = 0;
+        for hw in [5usize, 6] {
+            let last = hw - 1;
+            let mid = hw / 2;
+            let spots = [
+                (0, 0),
+                (0, mid),
+                (0, last),
+                (mid, 0),
+                (mid, last),
+                (last, 0),
+                (last, mid),
+                (last, last),
+            ];
+            for k in [1usize, 3] {
+                for stride in [1usize, 2] {
+                    for pad in [0usize, 1] {
+                        for cout in [1usize, 8, 17] {
+                            let conv = test_conv(2, cout, hw, k, stride, pad, cout + k);
+                            key += 1;
+                            for ci in 0..2 {
+                                for &(y, x) in &spots {
+                                    let mut bytes = vec![0u8; 2 * hw * hw];
+                                    bytes[(ci * hw + y) * hw + x] = 1;
+                                    let mut plane = SpikePlane::default();
+                                    plane.pack_from_bytes(2, hw, hw, &bytes);
+                                    let reference = crate::runner::conv_psums_int(&conv, &bytes);
+                                    let got = conv_psums_int_scatter(&conv, &plane, &mut scr, key)
+                                        .to_vec();
+                                    assert_eq!(
+                                        got, reference,
+                                        "hw {hw} k {k} s {stride} p {pad} cout {cout} \
+                                         spike ({ci}, {y}, {x})"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }
