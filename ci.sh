@@ -37,6 +37,11 @@ echo "==> cargo clippy -D warnings (workspace)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p sia-telemetry --no-default-features --all-targets -- -D warnings
 
+# Intra-doc links must resolve: a link to a renamed or deleted item fails
+# here instead of dangling in the rendered docs.
+echo "==> cargo doc -D warnings (workspace)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tier-1: release build + root tests"
 cargo build --release
 cargo test -q

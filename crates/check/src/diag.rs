@@ -9,6 +9,7 @@
 //! errors.
 
 use crate::overflow::StageCheck;
+use sia_telemetry::json::write_escaped;
 use std::fmt;
 
 /// Diagnostic severity.
@@ -194,7 +195,7 @@ impl CheckReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + 128 * self.diagnostics.len());
         out.push_str("{\"model\":");
-        json_string(&mut out, &self.model);
+        write_escaped(&mut out, &self.model);
         out.push_str(&format!(
             ",\"timesteps\":{},\"verdict\":\"{}\",\"overflow_free\":{},\"errors\":{},\"warnings\":{},\"diagnostics\":[",
             self.timesteps,
@@ -208,21 +209,21 @@ impl CheckReport {
                 out.push(',');
             }
             out.push_str("{\"rule\":");
-            json_string(&mut out, d.rule);
+            write_escaped(&mut out, d.rule);
             out.push_str(&format!(
                 ",\"severity\":\"{}\",\"item\":{},\"stage\":",
                 d.severity, d.span.item_index
             ));
-            json_string(&mut out, &d.span.name);
+            write_escaped(&mut out, &d.span.name);
             match d.channel {
                 Some(c) => out.push_str(&format!(",\"channel\":{c}")),
                 None => out.push_str(",\"channel\":null"),
             }
             out.push_str(",\"message\":");
-            json_string(&mut out, &d.message);
+            write_escaped(&mut out, &d.message);
             out.push_str(",\"suggestion\":");
             match &d.suggestion {
-                Some(s) => json_string(&mut out, s),
+                Some(s) => write_escaped(&mut out, s),
                 None => out.push_str("null"),
             }
             out.push_str(&format!(",\"promoted\":{}}}", d.promoted));
@@ -255,24 +256,6 @@ impl fmt::Display for CheckReport {
         }
         Ok(())
     }
-}
-
-/// Appends a JSON string literal (quotes, backslashes and control
-/// characters escaped).
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Static description of one lint/analysis rule.
@@ -432,7 +415,7 @@ mod tests {
     #[test]
     fn json_escapes_strings() {
         let mut s = String::new();
-        json_string(&mut s, "a\"b\\c\nd\u{1}");
+        write_escaped(&mut s, "a\"b\\c\nd\u{1}");
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 

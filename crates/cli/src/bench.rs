@@ -528,7 +528,7 @@ fn bench_model(args: &Args, timesteps: usize) -> Result<sia_serve::LoadedModel, 
     sia_serve::load_bytes(&bytes, "resnet18-w4-untrained (in-memory)", timesteps)
 }
 
-/// End-to-end inference throughput through the [`BatchEvaluator`] on all
+/// End-to-end inference throughput through the [`sia_snn::BatchEvaluator`] on all
 /// three engine backends. The model rides the shared deployment-image
 /// pipeline ([`bench_model`]): an untrained quantized network by default
 /// (execution cost does not depend on trained weights), or `--model

@@ -37,7 +37,7 @@
 //! warnings) or 2 (usage). `run` and `eval` run the same verification and
 //! refuse models with error-severity findings.
 //!
-//! `bench` runs one family from the unified registry (see [`bench`]):
+//! `bench` runs one family from the unified registry (see [`mod@bench`]):
 //! `conv` and `gemm` are the kernel micro-benchmarks (bit-exactness
 //! asserted before any timing), `eval` is end-to-end inference throughput
 //! through the [`BatchEvaluator`]. All three share the `sia_perf` JSON

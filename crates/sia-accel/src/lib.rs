@@ -14,9 +14,10 @@
 //! * [`aggregation`] — the aggregation core: fixed-point batch norm
 //!   (`y·G + H` in Q8.8, paper Eq. 2) and the IF/LIF activation unit with
 //!   reset-by-subtraction, selected by the mode bit;
-//! * [`memory`] — the exact on-chip memory map of §III-D (128 B spike
-//!   input, 8 kB weights, 64 kB membrane potentials in **U1/U2 ping-pong**,
-//!   128 kB residual parameters, 56 kB outputs) with capacity checking;
+//! * [`memory`] — per-layer footprints against the on-chip memory map of
+//!   §III-D (128 B spike input, 8 kB weights, 64 kB membrane potentials in
+//!   **U1/U2 ping-pong** banks, 128 kB residual parameters, 56 kB outputs),
+//!   with capacity checking and membrane-spill pricing;
 //! * [`axi`] — the PS↔PL transfer model: a DMA-style streaming path for
 //!   bulk data and the software-driven AXI4-Lite MMIO path whose per-word
 //!   cost dominates the fully-connected layer (Table I's ≈ 59 ms FC row);
@@ -24,9 +25,10 @@
 //!   accelerator: kernel-group tiling (> 64 output channels ⇒ multiple
 //!   passes), weight-chunk streaming when a layer exceeds the weight
 //!   memory, and the residual partial-sum path of §IV;
-//! * [`machine`] — the top-level executor producing **bit-exact** spike
-//!   trains (proven against `sia-snn`'s integer runner) together with
-//!   per-layer cycle and transfer counts, the basis of Tables I, II and IV.
+//! * [`machine`] — the top-level executor: `sia-snn`'s integer datapath
+//!   (so its spike trains are **bit-exact** with the integer runner by
+//!   construction) plus per-layer cycle and transfer counts, the basis of
+//!   Tables I, II and IV.
 //!
 //! # Examples
 //!

@@ -3,30 +3,29 @@
 //! trains against `sia-snn`'s integer runner together with the cycle
 //! accounting behind Tables I, II and IV.
 //!
-//! The machine is a backend of the shared [`sia_snn::Engine`] layer: the
+//! The machine is a backend of the shared [`sia_snn::Engine`] layer. The
 //! timestep × layer traversal, input encoding, validation and spike
-//! statistics all live in [`sia_snn::drive`], so agreement with the
-//! functional runners is structural — the machine adds only the hardware
-//! arithmetic (PE-array passes, ping-pong membrane memory, the
-//! controller's MMIO protocol) and the cycle/traffic accounting. The
-//! PE-array psums themselves come from the shared INT8 kernels (see
-//! [`crate::spiking_core`]), so even that part of the agreement is
-//! structural.
+//! statistics live in [`sia_snn::drive_policy`]. The integer arithmetic
+//! (batch norm, IF/LIF, residual adds, head readout) and its state are the
+//! runner's own [`sia_snn::IntDatapath`], and the PE-array psums come from
+//! the shared INT8 kernels (see [`crate::spiking_core`]). Agreement with
+//! the integer runner is therefore structural: the machine adds only what
+//! the hardware model prices — the controller's MMIO protocol per kernel
+//! group and the cycle, ops, segment and traffic accounting. The U1/U2
+//! ping-pong membrane pair (Fig. 3) is modelled by the memory map
+//! ([`crate::memory`]), the compute/transfer overlap
+//! ([`LayerCycles::overlapped`]) and the `accel.pingpong.switches` counter.
 
 use crate::compiler::Program;
 use crate::config::SiaConfig;
 use crate::controller::Controller;
-use crate::memory::PingPongMembranes;
 use crate::report::{CycleReport, LayerCycles};
-use crate::spiking_core::run_layer_pass;
-use sia_fixed::sat::add16;
+use crate::spiking_core::{run_layer_pass, LayerPass};
 use sia_snn::encode::EventStream;
-use sia_snn::neuron::step_int;
-use sia_snn::scratch::scratch_resize;
 use sia_snn::spikeplane::SpikePlane;
 use sia_snn::{
-    conv_psums_dense_into, conv_psums_int_plane, drive, drive_policy, ConvScratch, DriveScratch,
-    Engine, EngineInput, ExitPolicy, SnnConv, SnnItem, SnnNetwork, SnnOutput, SpikeStats,
+    drive_policy, ConvScratch, DriveScratch, Engine, EngineInput, ExitPolicy, IntDatapath, SnnConv,
+    SnnItem, SnnNetwork, SnnOutput, SpikeStats,
 };
 use sia_telemetry::Value;
 use sia_tensor::Tensor;
@@ -84,21 +83,12 @@ pub struct SiaMachine {
     /// run's first chunk and drained by `end_item` after the traversal —
     /// layers stay live across timestep chunks.
     active: Vec<Option<LayerCycles>>,
-    /// Ping-pong membrane banks per program item (`None` for items without
-    /// membranes), resident across runs: `begin_item` re-precharges them,
-    /// and they carry state from chunk to chunk within a run.
-    banks: Vec<Option<PingPongMembranes>>,
-    /// Flat per-timestep psum currents awaiting the closing `BlockAdd`
-    /// (`run_timesteps` frames of `pending_len` each).
-    pending: Vec<i16>,
-    pending_len: usize,
-    /// Dense first-layer currents, constant across timesteps.
-    input_currents: Vec<i16>,
-    head_acc: Vec<i64>,
+    /// The integer datapath: membranes, pending psum frames, input
+    /// currents and head accumulators, resident across runs.
+    dp: IntDatapath,
     run_timesteps: usize,
     // reusable scratch, retained across runs (zero-allocation hot loop)
     conv: ConvScratch,
-    residual: Vec<i16>,
     arenas: DriveScratch,
     /// PE kernel-row segments `(processed, skipped)` since the last
     /// `stage_taps` — psum-stage segments are reported by the closing
@@ -140,21 +130,15 @@ impl SiaMachine {
                 ),
             ],
         );
-        let items = program.network.items.len();
         SiaMachine {
+            dp: IntDatapath::new(&program.network),
             program,
             config,
             controller: Controller::new(),
             report: CycleReport::default(),
             active: Vec::new(),
-            banks: vec![None; items],
-            pending: Vec::new(),
-            pending_len: 0,
-            input_currents: Vec::new(),
-            head_acc: Vec::new(),
             run_timesteps: 0,
             conv: ConvScratch::new(),
-            residual: Vec::new(),
             arenas: DriveScratch::default(),
             seg_taps: (0, 0),
         }
@@ -191,7 +175,7 @@ impl SiaMachine {
     /// Panics if `timesteps == 0` or `burn_in >= timesteps`.
     #[must_use]
     pub fn run_with(&mut self, image: &Tensor, timesteps: usize, burn_in: usize) -> MachineRun {
-        drive(self, EngineInput::Image(image), timesteps, burn_in).into()
+        self.run_policy(image, timesteps, burn_in, ExitPolicy::Fixed)
     }
 
     /// Runs on a DVS-style event stream (paper §IV: event-driven data
@@ -209,7 +193,8 @@ impl SiaMachine {
         timesteps: usize,
         burn_in: usize,
     ) -> MachineRun {
-        drive(self, EngineInput::Events(events), timesteps, burn_in).into()
+        let input = EngineInput::Events(events);
+        drive_policy(self, input, timesteps, burn_in, ExitPolicy::Fixed).into()
     }
 
     /// [`SiaMachine::run_with`] under a confidence-gated exit policy (see
@@ -231,49 +216,25 @@ impl SiaMachine {
     }
 }
 
-/// Where a PL conv timestep delivers its result: spikes into a packed
-/// plane through the layer's membrane banks (spiking stage) or batch-normed
-/// currents into a pending-psum frame (psum stage).
-enum PlOut<'a> {
-    Spikes(&'a mut SpikePlane, &'a mut PingPongMembranes),
-    Currents(&'a mut [i16]),
-}
-
-/// The machine state one PL conv timestep works with: configuration, the
-/// controller, the layer's accounting row, and the shared kernel scratch
-/// (bundled so the pass sequence stays a free function without an
-/// unwieldy parameter list).
+/// The machine state the kernel-group passes of one PL conv timestep
+/// account into: configuration, the controller, the layer's accounting row
+/// and the segment tally (bundled so the pass sequence stays a free
+/// function without an unwieldy parameter list).
 struct PlConvCtx<'a> {
     cfg: &'a SiaConfig,
     controller: &'a mut Controller,
     cycles: &'a mut LayerCycles,
-    conv: &'a mut ConvScratch,
     taps: &'a mut (u64, u64),
+    timesteps: usize,
 }
 
-/// One PE-array pass sequence for one timestep of PL conv layer `idx`: the
-/// array's psums and segment counts are computed once for all output
-/// channels, then the PS programs the register file per kernel group, the
-/// controller validates and starts the pass, and aggregation spikes (or
-/// exports currents for a psum stage) the group's slice. Works entirely on
-/// the bit-packed input plane and retained scratch — the warm timestep loop
-/// allocates nothing.
-fn pl_conv_timestep(
-    idx: usize,
-    c: &SnnConv,
-    ctx: &mut PlConvCtx<'_>,
-    plane: &SpikePlane,
-    timesteps: usize,
-    mut out: PlOut<'_>,
-) {
-    let (oh, ow) = c.geom.out_hw();
-    let per_ch = oh * ow;
+/// The PE-array pass sequence of one timestep of PL conv `c`: per kernel
+/// group the PS programs the register file, the controller validates and
+/// starts the pass, and the group's cycles, ops and segments are
+/// accounted. The psums of every output channel are already in `pass`, so
+/// the caller aggregates them once for the whole layer.
+fn kernel_group_passes(c: &SnnConv, pass: &LayerPass<'_>, ctx: &mut PlConvCtx<'_>) {
     let cfg = ctx.cfg;
-    let cycles = &mut *ctx.cycles;
-    let pass = run_layer_pass(c, plane, cfg, ctx.conv, idx * 2);
-    if let PlOut::Spikes(o, _) = &mut out {
-        o.reset(c.geom.out_channels, oh, ow);
-    }
     // §III-B: output channels are processed in kernel groups of at most
     // `pe_count`
     for start in (0..c.geom.out_channels).step_by(cfg.pe_count()) {
@@ -282,12 +243,15 @@ fn pl_conv_timestep(
         // controller validates the image before the cores run. A compiled
         // program can never produce a bad image.
         ctx.controller
-            .program_layer(&c.geom, c.theta, c.mode, timesteps, start, size);
+            .program_layer(&c.geom, c.theta, c.mode, ctx.timesteps, start, size);
         ctx.controller
             .start(cfg.pe_count())
             .expect("compiled programs produce valid register images");
-        let (psums, stats) = pass.group(start, size);
+        let (_, stats) = pass.group(start, size);
         ctx.controller.finish(); // per-pass done interrupt
+        let cycles = &mut *ctx.cycles;
+        // the aggregation tile (BN + IF/LIF) overlaps the spiking core
+        // except for its pipeline fill
         cycles.compute_cycles += stats.cycles + cfg.aggregation_pipeline_depth;
         cycles.active_pe_cycles += stats.active_pe_cycles;
         cycles.ops += stats.active_pe_cycles * cfg.ops_per_pe_cycle;
@@ -301,32 +265,6 @@ fn pl_conv_timestep(
         sia_telemetry::counter!("accel.pe.active_cycles", stats.active_pe_cycles);
         sia_telemetry::counter!("accel.pe.segments_processed", stats.processed_segments);
         sia_telemetry::counter!("accel.pe.segments_skipped", stats.skipped_segments);
-        let base = start * per_ch;
-        match &mut out {
-            PlOut::Spikes(o, mem) => {
-                // aggregation tile (BN + IF/LIF), overlapped with the
-                // spiking core except the pipeline fill counted above
-                for (j, &p) in psums.iter().enumerate() {
-                    let ch = start + j / per_ch;
-                    let mut u = mem.read(base + j);
-                    if step_int(&mut u, add16(c.g[ch].mul_int(p), c.h[ch]), c.theta, c.mode) {
-                        o.set_linear(base + j);
-                        cycles.spikes += 1;
-                    }
-                    mem.write(base + j, u);
-                }
-            }
-            PlOut::Currents(o) => {
-                for (j, &p) in psums.iter().enumerate() {
-                    let ch = start + j / per_ch;
-                    o[base + j] = add16(c.g[ch].mul_int(p), c.h[ch]);
-                }
-            }
-        }
-    }
-    if let PlOut::Spikes(_, mem) = out {
-        mem.toggle();
-        sia_telemetry::counter!("accel.pingpong.switches", 1);
     }
 }
 
@@ -354,10 +292,7 @@ impl Engine for SiaMachine {
         self.active.clear();
         self.active
             .resize_with(self.program.network.items.len(), || None);
-        self.pending.clear();
-        self.pending_len = 0;
-        self.input_currents.clear();
-        self.head_acc.clear();
+        self.dp.begin_run(&self.program.network, timesteps);
         self.run_timesteps = timesteps;
         self.seg_taps = (0, 0);
     }
@@ -371,48 +306,28 @@ impl Engine for SiaMachine {
             overlapped: lp.on_pl,
             ..LayerCycles::default()
         };
-        // (pre-charge value, neurons) of the item's membrane banks
-        let membranes = match &self.program.network.items[idx] {
+        match &self.program.network.items[idx] {
             SnnItem::InputConv(c) => {
                 // dense frame conversion runs on the PS once per image
                 cycles.compute_cycles += (c.geom.macs() as f64 * cfg.ps_cycles_per_mac) as u64;
                 cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                Some((c.theta / 2, c.out_neurons()))
             }
-            SnnItem::Conv(c) => {
+            SnnItem::Conv(_) | SnnItem::ConvPsum(_) | SnnItem::BlockAdd(_) => {
                 cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                Some((c.theta / 2, c.out_neurons()))
-            }
-            SnnItem::ConvPsum(_) => {
-                cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                None // psum stage: currents bypass the membrane banks
-            }
-            SnnItem::BlockAdd(a) => {
-                cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                Some((a.theta / 2, a.neurons()))
             }
             SnnItem::MaxPoolOr { channels, h, w } => {
                 // one OR gate per output per timestep, fully parallel in
                 // the PL: a handful of cycles, dominated by streaming
                 cycles.compute_cycles += (channels * h * w / 4) as u64 / 16;
-                None
             }
-            SnnItem::Head(l) => {
+            SnnItem::Head(_) => {
                 cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                cycles.overlapped = false; // driver-paced
-                                           // per-timestep PS compute is priced in `end_item`, once the
-                                           // executed timestep count (early exit!) is known
-                scratch_resize(&mut self.head_acc, l.out, 0);
-                None
+                // driver-paced; per-timestep PS compute is priced in
+                // `end_item`, once the executed timestep count (early
+                // exit!) is known
+                cycles.overlapped = false;
             }
-            SnnItem::BlockStart => None,
-        };
-        if let Some((u0, neurons)) = membranes {
-            self.banks[idx]
-                .get_or_insert_with(|| {
-                    PingPongMembranes::new(cfg.membrane_mem_bytes.max(neurons * 4))
-                })
-                .precharge(u0, neurons);
+            SnnItem::BlockStart => {}
         }
         self.active[idx] = Some(cycles);
     }
@@ -475,42 +390,14 @@ impl Engine for SiaMachine {
     }
 
     fn step_input_conv(&mut self, idx: usize, codes: &[i8], t: usize, out: &mut SpikePlane) {
-        if t == 0 {
-            let SnnItem::InputConv(c) = &self.program.network.items[idx] else {
-                unreachable!("step_input_conv on a non-input item")
-            };
-            let psums = conv_psums_dense_into(c, codes, &mut self.conv);
-            let per_ch = psums.len() / c.geom.out_channels;
-            scratch_resize(&mut self.input_currents, psums.len(), 0);
-            for (i, &p) in psums.iter().enumerate() {
-                self.input_currents[i] = add16(c.g[i / per_ch].mul_int_wide(p), c.h[i / per_ch]);
-            }
-        }
-        let SiaMachine {
-            program,
-            active,
-            banks,
-            input_currents,
-            ..
-        } = self;
-        let SnnItem::InputConv(c) = &program.network.items[idx] else {
+        let SnnItem::InputConv(c) = &self.program.network.items[idx] else {
             unreachable!("step_input_conv on a non-input item")
         };
-        let cycles = active[idx].as_mut().expect("begin_item ran");
-        let mem = banks[idx].as_mut().expect("input conv has membranes");
-        let (oh, ow) = c.geom.out_hw();
-        out.reset(c.geom.out_channels, oh, ow);
-        for (i, &cur) in input_currents.iter().enumerate() {
-            let mut u = mem.read(i);
-            if step_int(&mut u, cur, c.theta, c.mode) {
-                out.set_linear(i);
-                cycles.spikes += 1;
-            }
-            mem.write(i, u);
-        }
-        mem.toggle();
+        self.dp.input_conv(idx, c, codes, t, &mut self.conv, out);
+        let cycles = self.active[idx].as_mut().expect("begin_item ran");
+        cycles.spikes += out.count_ones();
+        cycles.compute_cycles += c.out_neurons() as u64;
         sia_telemetry::counter!("accel.pingpong.switches", 1);
-        cycles.compute_cycles += input_currents.len() as u64;
     }
 
     fn step_conv(&mut self, idx: usize, spikes: &SpikePlane, _t: usize, out: &mut SpikePlane) {
@@ -519,7 +406,7 @@ impl Engine for SiaMachine {
             config,
             controller,
             active,
-            banks,
+            dp,
             run_timesteps,
             conv,
             seg_taps,
@@ -528,22 +415,19 @@ impl Engine for SiaMachine {
         let SnnItem::Conv(c) = &program.network.items[idx] else {
             unreachable!("step_conv on a non-conv item")
         };
+        let cycles = active[idx].as_mut().expect("begin_item ran");
+        let pass = run_layer_pass(c, spikes, config, conv, idx * 2);
         let mut ctx = PlConvCtx {
             cfg: config,
             controller,
-            cycles: active[idx].as_mut().expect("begin_item ran"),
-            conv,
+            cycles,
             taps: seg_taps,
+            timesteps: *run_timesteps,
         };
-        let mem = banks[idx].as_mut().expect("spiking conv has membranes");
-        pl_conv_timestep(
-            idx,
-            c,
-            &mut ctx,
-            spikes,
-            *run_timesteps,
-            PlOut::Spikes(out, mem),
-        );
+        kernel_group_passes(c, &pass, &mut ctx);
+        dp.conv(idx, c, pass.group(0, c.geom.out_channels).0, out);
+        ctx.cycles.spikes += out.count_ones();
+        sia_telemetry::counter!("accel.pingpong.switches", 1);
     }
 
     fn step_conv_psum(&mut self, idx: usize, spikes: &SpikePlane, t: usize) {
@@ -552,8 +436,7 @@ impl Engine for SiaMachine {
             config,
             controller,
             active,
-            pending,
-            pending_len,
+            dp,
             run_timesteps,
             conv,
             seg_taps,
@@ -562,125 +445,47 @@ impl Engine for SiaMachine {
         let SnnItem::ConvPsum(c) = &program.network.items[idx] else {
             unreachable!("step_conv_psum on a non-psum item")
         };
-        // Differently-sized psum stages share this buffer; under the
-        // chunked driver each stage revisits it every chunk (not only at
-        // t == 0), so re-shape whenever the frame geometry changes.
-        let needed = *run_timesteps * c.out_neurons();
-        if c.out_neurons() != *pending_len || pending.len() != needed {
-            *pending_len = c.out_neurons();
-            scratch_resize(pending, needed, 0);
-        }
-        let frame = &mut pending[t * *pending_len..(t + 1) * *pending_len];
+        let pass = run_layer_pass(c, spikes, config, conv, idx * 2);
         let mut ctx = PlConvCtx {
             cfg: config,
             controller,
             cycles: active[idx].as_mut().expect("begin_item ran"),
-            conv,
             taps: seg_taps,
+            timesteps: *run_timesteps,
         };
-        pl_conv_timestep(
-            idx,
-            c,
-            &mut ctx,
-            spikes,
-            *run_timesteps,
-            PlOut::Currents(frame),
-        );
+        kernel_group_passes(c, &pass, &mut ctx);
+        dp.store_psums(c, pass.group(0, c.geom.out_channels).0, t);
     }
 
     fn step_block_add(&mut self, idx: usize, skip: &SpikePlane, t: usize, out: &mut SpikePlane) {
-        let SiaMachine {
-            program,
-            config,
-            active,
-            banks,
-            pending,
-            pending_len,
-            conv,
-            residual,
-            ..
-        } = self;
-        let SnnItem::BlockAdd(a) = &program.network.items[idx] else {
+        let SnnItem::BlockAdd(a) = &self.program.network.items[idx] else {
             unreachable!("step_block_add on a non-add item")
         };
-        let n = a.neurons();
-        // PS-side residual currents (§IV), saturating accumulation with the
-        // pending psum frame of this timestep
-        scratch_resize(residual, n, 0);
-        match &a.down {
-            Some(d) => {
-                let psums = conv_psums_int_plane(d, skip, conv, idx * 2 + 1);
-                assert_eq!(
-                    *pending_len,
-                    psums.len(),
-                    "residual shape mismatch (pending {}, skip {})",
-                    pending_len,
-                    psums.len()
-                );
-                let per_ch = psums.len() / d.geom.out_channels;
-                let pend = &pending[t * *pending_len..(t + 1) * *pending_len];
-                for (i, (r, &p)) in residual.iter_mut().zip(psums).enumerate() {
-                    let skip_cur = add16(d.g[i / per_ch].mul_int(p), d.h[i / per_ch]);
-                    *r = add16(pend[i], skip_cur);
-                }
-            }
-            None => {
-                assert_eq!(
-                    *pending_len,
-                    skip.len(),
-                    "residual shape mismatch (pending {}, skip {})",
-                    pending_len,
-                    skip.len()
-                );
-                let pend = &pending[t * *pending_len..(t + 1) * *pending_len];
-                for (i, (r, &p)) in residual.iter_mut().zip(pend).enumerate() {
-                    let skip_cur = if skip.bit_linear(i) { a.skip_add } else { 0 };
-                    *r = add16(p, skip_cur);
-                }
-            }
-        }
-        let cycles = active[idx].as_mut().expect("begin_item ran");
-        let mem = banks[idx].as_mut().expect("block add has membranes");
-        out.reset(a.channels, a.h, a.w);
-        // aggregation tile over the accumulated currents (identity BN:
-        // G = 1.0, H = 0 passes every current through unchanged)
-        for (i, &total) in residual.iter().enumerate() {
-            let mut u = mem.read(i);
-            if step_int(&mut u, total, a.theta, a.mode) {
-                out.set_linear(i);
-                cycles.spikes += 1;
-            }
-            mem.write(i, u);
-        }
-        mem.toggle();
-        sia_telemetry::counter!("accel.pingpong.switches", 1);
-        cycles.compute_cycles += config.aggregation_pipeline_depth + n as u64;
+        // PS-side residual currents (§IV) folded into the pending psum frame
+        // of this timestep, then the aggregation tile (identity BN)
+        self.dp.residual_add(idx, a, skip, t, &mut self.conv, out);
+        let cfg = &self.config;
+        let cycles = self.active[idx].as_mut().expect("begin_item ran");
+        cycles.spikes += out.count_ones();
+        cycles.compute_cycles += cfg.aggregation_pipeline_depth + a.neurons() as u64;
         if let Some(d) = &a.down {
-            cycles.compute_cycles += (d.geom.macs() as f64 * config.ps_cycles_per_mac) as u64;
+            cycles.compute_cycles += (d.geom.macs() as f64 * cfg.ps_cycles_per_mac) as u64;
         }
+        sia_telemetry::counter!("accel.pingpong.switches", 1);
     }
 
     fn head_accumulate(&mut self, idx: usize, spikes: &SpikePlane) {
         let SnnItem::Head(l) = &self.program.network.items[idx] else {
             unreachable!("head_accumulate on a non-head item")
         };
-        let per_ch = l.in_h * l.in_w;
-        for (o, acc) in self.head_acc.iter_mut().enumerate() {
-            let mut a = 0i64;
-            spikes.for_each_set_linear(|i| {
-                a += i64::from(l.weights[o * l.channels + i / per_ch]);
-            });
-            *acc += a;
-        }
+        self.dp.head_accumulate(l, spikes);
     }
 
     fn head_readout_into(&self, idx: usize, t_eff: usize, out: &mut [f32]) {
         let SnnItem::Head(l) = &self.program.network.items[idx] else {
             unreachable!("head_readout on a non-head item")
         };
-        for ((o, &a), &b) in out.iter_mut().zip(&self.head_acc).zip(&l.bias) {
-            *o = a as f32 * l.q.scale() / t_eff as f32 + b;
-        }
+        self.dp.head_readout_into(l, t_eff, out);
     }
 
     fn stage_taps(&mut self, _idx: usize) -> Option<(u64, u64)> {
@@ -963,6 +768,37 @@ mod tests {
             early.report.total_cycles(),
             fixed.report.total_cycles()
         );
+    }
+
+    #[test]
+    fn layer_spikes_match_driver_stage_spikes() {
+        // The cycle report counts each spiking layer's output spikes; the
+        // driver counts the same planes into SpikeStats, stage by stage.
+        let net = convert(&full_spec(), &ConvertOptions::default());
+        let cfg = SiaConfig::pynq_z2();
+        let mut machine = SiaMachine::new(compile_for(&net, &cfg, 8).unwrap(), cfg);
+        let img = image();
+        let margin = ExitPolicy::Margin {
+            threshold: 0.0,
+            window: 1,
+        };
+        for (policy, expected) in [(ExitPolicy::Fixed, [313, 167, 62]), (margin, [33, 28, 12])] {
+            let run = machine.run_policy(&img, 8, 0, policy);
+            let layer_spikes: Vec<u64> = net
+                .items
+                .iter()
+                .zip(&run.report.layers)
+                .filter(|(it, _)| {
+                    matches!(
+                        it,
+                        SnnItem::InputConv(_) | SnnItem::Conv(_) | SnnItem::BlockAdd(_)
+                    )
+                })
+                .map(|(_, l)| l.spikes)
+                .collect();
+            assert_eq!(layer_spikes, run.stats.spikes, "{policy:?}");
+            assert_eq!(layer_spikes, expected, "{policy:?}");
+        }
     }
 
     #[test]

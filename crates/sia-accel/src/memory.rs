@@ -1,117 +1,13 @@
-//! The on-chip memory unit (paper §III-D) with the U1/U2 ping-pong
-//! membrane banks (Fig. 3).
+//! The on-chip memory unit (paper §III-D): per-layer footprints checked
+//! against the memory map.
+//!
+//! The U1/U2 ping-pong membrane pair (Fig. 3) holds `membrane_mem_bytes / 4`
+//! 16-bit membranes per bank; [`LayerFootprint::membrane_spill_bytes`]
+//! prices a layer that overflows it. The membranes themselves live in the
+//! integer datapath the machine shares with the functional runner.
 
 use crate::config::SiaConfig;
 use std::fmt;
-
-/// Which ping-pong bank is in which role this timestep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BankRole {
-    /// Bank is being read (previous-timestep membranes).
-    Read,
-    /// Bank is being written (updated membranes).
-    Write,
-}
-
-/// The U1/U2 ping-pong membrane store: "at any time step, one part of the
-/// memory is used to store the membrane potentials from the PE to the
-/// memory, and the other part is used to read the stored membrane
-/// potentials" (Fig. 3). Toggling swaps the roles.
-#[derive(Clone, Debug)]
-pub struct PingPongMembranes {
-    banks: [Vec<i16>; 2],
-    /// Index of the bank currently in **read** mode.
-    read_bank: usize,
-    capacity_words: usize,
-    reads: u64,
-    writes: u64,
-}
-
-impl PingPongMembranes {
-    /// Allocates the two banks. Total capacity (both banks) is
-    /// `total_bytes`; each 16-bit membrane occupies 2 bytes, so each bank
-    /// holds `total_bytes / 4` neurons.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_bytes < 4`.
-    #[must_use]
-    pub fn new(total_bytes: usize) -> Self {
-        assert!(total_bytes >= 4, "membrane memory too small");
-        let per_bank = total_bytes / 4;
-        PingPongMembranes {
-            banks: [vec![0; per_bank], vec![0; per_bank]],
-            read_bank: 0,
-            capacity_words: per_bank,
-            reads: 0,
-            writes: 0,
-        }
-    }
-
-    /// Neurons one bank can hold.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity_words
-    }
-
-    /// Fills both banks with the pre-charge value (start of an inference).
-    pub fn precharge(&mut self, value: i16, neurons: usize) {
-        assert!(neurons <= self.capacity_words, "layer exceeds U-state bank");
-        for bank in &mut self.banks {
-            for u in bank.iter_mut().take(neurons) {
-                *u = value;
-            }
-        }
-    }
-
-    /// Reads membrane `i` from the bank in read mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` exceeds the bank capacity.
-    #[must_use]
-    pub fn read(&mut self, i: usize) -> i16 {
-        self.reads += 1;
-        self.banks[self.read_bank][i]
-    }
-
-    /// Writes membrane `i` into the bank in write mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` exceeds the bank capacity.
-    pub fn write(&mut self, i: usize, v: i16) {
-        self.writes += 1;
-        let w = 1 - self.read_bank;
-        self.banks[w][i] = v;
-    }
-
-    /// Swaps the bank roles (end of a timestep, Fig. 3a → 3b).
-    pub fn toggle(&mut self) {
-        self.read_bank = 1 - self.read_bank;
-    }
-
-    /// Role of bank `b` (0 = U1, 1 = U2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b > 1`.
-    #[must_use]
-    pub fn role(&self, b: usize) -> BankRole {
-        assert!(b < 2, "only two banks");
-        if b == self.read_bank {
-            BankRole::Read
-        } else {
-            BankRole::Write
-        }
-    }
-
-    /// `(reads, writes)` access counters (for the power model).
-    #[must_use]
-    pub fn access_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
-    }
-}
 
 /// Static footprint check of one layer against the memory map. Returned by
 /// the compiler for every layer so callers can see *why* a network fits (or
@@ -192,52 +88,6 @@ impl LayerFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ping_pong_roles_alternate() {
-        let mut m = PingPongMembranes::new(64 * 1024);
-        assert_eq!(m.role(0), BankRole::Read);
-        assert_eq!(m.role(1), BankRole::Write);
-        m.toggle();
-        assert_eq!(m.role(0), BankRole::Write);
-        assert_eq!(m.role(1), BankRole::Read);
-    }
-
-    #[test]
-    fn capacity_is_quarter_of_bytes() {
-        // 64 kB total → two 32 kB banks → 16k 16-bit membranes each
-        let m = PingPongMembranes::new(64 * 1024);
-        assert_eq!(m.capacity(), 16 * 1024);
-    }
-
-    #[test]
-    fn write_lands_in_write_bank_only() {
-        let mut m = PingPongMembranes::new(16);
-        m.write(0, 42);
-        // read bank still sees the old value
-        assert_eq!(m.read(0), 0);
-        m.toggle();
-        // after toggling, the written value becomes readable
-        assert_eq!(m.read(0), 42);
-    }
-
-    #[test]
-    fn precharge_fills_both_banks() {
-        let mut m = PingPongMembranes::new(32);
-        m.precharge(7, 4);
-        assert_eq!(m.read(3), 7);
-        m.toggle();
-        assert_eq!(m.read(3), 7);
-    }
-
-    #[test]
-    fn access_counters_track() {
-        let mut m = PingPongMembranes::new(32);
-        let _ = m.read(0);
-        m.write(0, 1);
-        m.write(1, 2);
-        assert_eq!(m.access_counts(), (1, 2));
-    }
 
     #[test]
     fn footprint_check_flags_each_overflow() {

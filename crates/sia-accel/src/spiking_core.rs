@@ -85,7 +85,7 @@ pub struct LayerPass<'a> {
     pixels: usize,
 }
 
-impl LayerPass<'_> {
+impl<'a> LayerPass<'a> {
     /// Psums (`[size, OH, OW]`) and cycle accounting of the kernel group
     /// `start .. start + size` — what [`run_conv_pass`] returns for it.
     ///
@@ -93,7 +93,7 @@ impl LayerPass<'_> {
     ///
     /// Panics if the group range exceeds `C_out`.
     #[must_use]
-    pub fn group(&self, start: usize, size: usize) -> (&[i16], ConvPassStats) {
+    pub fn group(&self, start: usize, size: usize) -> (&'a [i16], ConvPassStats) {
         let SegmentCounts { processed, skipped } = self.segments;
         let stats = ConvPassStats {
             // one cycle per processed segment + one handoff per pixel

@@ -39,7 +39,7 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EvalEncoding {
     /// Dense `C×H×W` images (PS-side frame conversion; networks converted
-    /// with [`crate::InputEncoding::Dense`]).
+    /// with [`crate::InputEncoding::DirectCurrent`]).
     Dense,
     /// Rate-code each image into a DVS-style event stream first (networks
     /// converted with [`crate::InputEncoding::EventDriven`]).
@@ -54,7 +54,7 @@ pub enum EvalEncoding {
 pub struct EvalConfig {
     /// Timesteps per image.
     pub timesteps: usize,
-    /// Readout burn-in (see [`crate::drive`]).
+    /// Readout burn-in (see [`crate::drive_policy`]).
     pub burn_in: usize,
     /// Worker threads; `0` means one per available core.
     pub threads: usize,

@@ -57,9 +57,8 @@ pub use exit::{
 };
 pub use network::{NeuronMode, SnnConv, SnnItem, SnnLinear, SnnNetwork};
 pub use runner::{
-    conv_psums_dense, conv_psums_f32, conv_psums_int, drive, drive_policy, head_readout_int,
-    or_pool, spiking_stage_sizes, DriveScratch, Engine, EngineInput, FloatRunner, IntRunner,
-    SnnOutput,
+    conv_psums_dense, conv_psums_f32, conv_psums_int, drive_policy, or_pool, spiking_stage_sizes,
+    DriveScratch, Engine, EngineInput, FloatRunner, IntDatapath, IntRunner, SnnOutput,
 };
 pub use scratch::{scratch_growth, scratch_reserve_default, scratch_resize};
 pub use sparse::{

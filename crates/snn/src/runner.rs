@@ -1,6 +1,6 @@
 //! Timestep-driven SNN inference: the unified engine layer.
 //!
-//! One generic **timestep driver** ([`drive`]) owns everything every
+//! One generic **timestep driver** ([`drive_policy`]) owns everything every
 //! executor used to duplicate — input encoding and first-layer scale
 //! resolution, event-stream validation, precondition checking, the
 //! layer × timestep traversal, [`SpikeStats`] accumulation and the
@@ -10,7 +10,7 @@
 //! * [`FloatRunner`] — the float reference dynamics (`f32`, no saturation),
 //! * [`IntRunner`] — the integer datapath (saturating 16-bit partial sums
 //!   in a fixed tap order, Q8.8 batch-norm multiply, 16-bit membranes),
-//! * `sia_accel::SiaMachine` — the same integer arithmetic plus
+//! * `sia_accel::SiaMachine` — the same [`IntDatapath`] plus
 //!   cycle/memory/AXI accounting on the modelled hardware.
 //!
 //! The driver runs **layer-major** (all timesteps of a stage before the
@@ -18,31 +18,31 @@
 //! memory. Each `(layer, t)` value is a pure function of the previous
 //! layer's timestep-`t` spikes and the layer's own membrane at `t − 1`, so
 //! the results are identical to a timestep-major sweep — which is why one
-//! traversal can serve every backend, and why backend agreement is now
-//! structural rather than merely test-enforced.
+//! traversal can serve every backend. The integer runner and the machine
+//! also share one [`IntDatapath`], so their agreement is structural rather
+//! than merely test-enforced.
 //!
-//! The same purity argument lets the traversal run **timestep-chunked**
-//! ([`drive_policy`]): all layers sweep a window of `W` timesteps, the head
-//! is read out at the chunk boundary, and an adaptive [`ExitPolicy`] may
-//! stop the run there — confidence-gated early exit with per-chunk kernel
-//! and cache locality. [`drive`] is the `W = T` special case
-//! ([`ExitPolicy::Fixed`]), bit-identical to the pre-chunking driver;
-//! adaptive runs are bit-identical prefixes of the fixed run.
+//! The same purity argument lets the traversal run **timestep-chunked**:
+//! all layers sweep a window of `W` timesteps, the head is read out at the
+//! chunk boundary, and an adaptive [`ExitPolicy`] may stop the run there —
+//! confidence-gated early exit with per-chunk kernel and cache locality.
+//! [`ExitPolicy::Fixed`] is the `W = T` special case, bit-identical to the
+//! pre-chunking driver; adaptive runs are bit-identical prefixes of the
+//! fixed run.
 //!
 //! Spike frames travel between stages as bit-packed [`SpikePlane`]s held in
 //! per-engine [`DriveScratch`] arenas, so the steady-state timestep loop
 //! performs **zero heap allocations**: psums, membranes, pending residual
 //! currents and the spike planes themselves are all reusable scratch
-//! (tracked by [`crate::scratch::scratch_growth`]). Convolutions choose
-//! between the dense reference gather and the event-driven scatter of
-//! [`crate::sparse`] from the measured spike density.
+//! (tracked by [`crate::scratch::scratch_growth`]). Spiking convolutions
+//! run the event-driven scatter of [`crate::sparse`].
 //!
 //! One run at `T` yields the entire accuracy-vs-timesteps curve up to `T`
 //! (Figs. 7 and 9) and per-stage spike counts (Figs. 6 and 8).
 
 use crate::encode::{encode_image, EventStream};
 use crate::exit::{should_exit, ExitPolicy};
-use crate::network::{ConvInput, SnnConv, SnnItem, SnnLinear, SnnNetwork};
+use crate::network::{ConvInput, SnnAdd, SnnConv, SnnItem, SnnLinear, SnnNetwork};
 use crate::neuron::{step_f32, step_int};
 use crate::scratch::{scratch_reserve_default, scratch_resize};
 use crate::sparse::{
@@ -253,22 +253,11 @@ pub fn spiking_stage_sizes(net: &SnnNetwork) -> (Vec<String>, Vec<u64>) {
     (names, sizes)
 }
 
-/// Integer head readout: accumulated INT8 evidence scaled back to float
-/// logits, time-averaged over the `t_done` post-burn-in timesteps. Shared
-/// by the integer runner and the cycle-level machine.
-#[must_use]
-pub fn head_readout_int(head: &SnnLinear, acc: &[i64], t_done: usize) -> Vec<f32> {
-    acc.iter()
-        .zip(&head.bias)
-        .map(|(&a, &b)| a as f32 * head.q.scale() / t_done as f32 + b)
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // The unified engine layer
 // ---------------------------------------------------------------------------
 
-/// Input to one inference run, as accepted by [`drive`].
+/// Input to one inference run, as accepted by [`drive_policy`].
 #[derive(Clone, Copy, Debug)]
 pub enum EngineInput<'a> {
     /// A dense `C×H×W` image (PS-side frame conversion; the network must
@@ -301,7 +290,7 @@ pub struct DriveScratch {
 /// A spiking inference backend.
 ///
 /// Implementors provide only the per-`(stage, timestep)` arithmetic; the
-/// [`drive`]/[`drive_policy`] functions own input encoding, validation,
+/// [`drive_policy`] function owns input encoding, validation,
 /// the layer-major traversal, spike statistics and readout collection.
 /// Within each timestep chunk every stage runs all of the chunk's
 /// timesteps before the next stage starts (the hardware's per-layer
@@ -491,29 +480,14 @@ fn emit_stage_telemetry(
     );
 }
 
-/// Runs `timesteps` of inference on `engine` — **the** timestep × layer
-/// traversal every backend shares.
+/// Runs `timesteps` of inference on `engine` under a confidence-gated
+/// [`ExitPolicy`] — **the** timestep × layer traversal every backend
+/// shares.
 ///
 /// The head ignores the first `burn_in` timesteps ("readout burn-in"): the
 /// spiking layers still run from t = 0 so their membranes settle, but
 /// classification evidence accumulates only from t = `burn_in`. A
 /// PS-side-only change that mitigates the deep-network transient at small T.
-///
-/// # Panics
-///
-/// Panics if `timesteps == 0`, `burn_in >= timesteps`, the input kind
-/// mismatches the network's first layer, an event stream is shorter than
-/// `timesteps` or malformed, or the network has no classification head.
-pub fn drive<E: Engine>(
-    engine: &mut E,
-    input: EngineInput<'_>,
-    timesteps: usize,
-    burn_in: usize,
-) -> (SnnOutput, E::Extra) {
-    drive_policy(engine, input, timesteps, burn_in, ExitPolicy::Fixed)
-}
-
-/// [`drive`] with a confidence-gated [`ExitPolicy`].
 ///
 /// The traversal runs in **timestep chunks** of the policy's window: every
 /// stage sweeps the chunk's timesteps (layer-major within the chunk,
@@ -528,7 +502,9 @@ pub fn drive<E: Engine>(
 ///
 /// # Panics
 ///
-/// Same conditions as [`drive`].
+/// Panics if `timesteps == 0`, `burn_in >= timesteps`, the input kind
+/// mismatches the network's first layer, an event stream is shorter than
+/// `timesteps` or malformed, or the network has no classification head.
 pub fn drive_policy<E: Engine>(
     engine: &mut E,
     input: EngineInput<'_>,
@@ -721,10 +697,18 @@ pub fn drive_policy<E: Engine>(
 // Integer backend
 // ---------------------------------------------------------------------------
 
-/// Integer-datapath runner (the accelerator semantics).
+/// The integer datapath (the accelerator semantics): per-run state and
+/// arithmetic shared by [`IntRunner`] and the cycle-level
+/// `sia_accel::SiaMachine`, which adds only cycle accounting around it.
+///
+/// The state is one 16-bit membrane per neuron of every spiking stage, the
+/// dense first-layer currents, the pending psum-stage frames and the head
+/// accumulators. The arithmetic is Q8.8 batch norm on 16-bit psums,
+/// saturating current adds and the IF/LIF step. Methods take the network
+/// item they execute, so the datapath never borrows the network; `idx` is
+/// the item's index, which keys its membranes.
 #[derive(Debug)]
-pub struct IntRunner<'a> {
-    net: &'a SnnNetwork,
+pub struct IntDatapath {
     membranes: Vec<Vec<i16>>,
     head_acc: Vec<i64>,
     /// Dense first-layer currents, constant across timesteps (cached at
@@ -735,14 +719,12 @@ pub struct IntRunner<'a> {
     pending: Vec<i16>,
     pending_len: usize,
     run_timesteps: usize,
-    conv: ConvScratch,
-    arenas: DriveScratch,
 }
 
-impl<'a> IntRunner<'a> {
-    /// Prepares runner state for `net`.
+impl IntDatapath {
+    /// Allocates the membranes and head accumulators of `net`.
     #[must_use]
-    pub fn new(net: &'a SnnNetwork) -> Self {
+    pub fn new(net: &SnnNetwork) -> Self {
         let membranes = net
             .items
             .iter()
@@ -752,14 +734,205 @@ impl<'a> IntRunner<'a> {
                 _ => Vec::new(),
             })
             .collect();
-        IntRunner {
-            net,
+        IntDatapath {
             membranes,
             head_acc: vec![0; net.num_classes],
             input_currents: Vec::new(),
             pending: Vec::new(),
             pending_len: 0,
             run_timesteps: 0,
+        }
+    }
+
+    /// Resets per-run state for a `timesteps`-step run of `net`: θ/2
+    /// membrane pre-charge (the optimal initial potential for QCFS
+    /// conversion), zeroed head accumulators, no cached currents.
+    pub fn begin_run(&mut self, net: &SnnNetwork, timesteps: usize) {
+        for (item, mem) in net.items.iter().zip(&mut self.membranes) {
+            let theta = match item {
+                SnnItem::InputConv(c) | SnnItem::Conv(c) => c.theta,
+                SnnItem::BlockAdd(a) => a.theta,
+                _ => continue,
+            };
+            mem.fill(theta / 2);
+        }
+        self.head_acc.fill(0);
+        self.input_currents.clear();
+        self.pending.clear();
+        self.pending_len = 0;
+        self.run_timesteps = timesteps;
+    }
+
+    /// One timestep of the dense-input conv `c` (item `idx`) over the INT8
+    /// image `codes`; the currents are computed at `t == 0` and reused.
+    pub fn input_conv(
+        &mut self,
+        idx: usize,
+        c: &SnnConv,
+        codes: &[i8],
+        t: usize,
+        conv: &mut ConvScratch,
+        out: &mut SpikePlane,
+    ) {
+        if t == 0 {
+            let psums = conv_psums_dense_into(c, codes, conv);
+            let per_ch = psums.len() / c.geom.out_channels;
+            scratch_resize(&mut self.input_currents, psums.len(), 0);
+            for (i, &p) in psums.iter().enumerate() {
+                self.input_currents[i] = add16(c.g[i / per_ch].mul_int_wide(p), c.h[i / per_ch]);
+            }
+        }
+        let (oh, ow) = c.geom.out_hw();
+        out.reset(c.geom.out_channels, oh, ow);
+        let mem = &mut self.membranes[idx];
+        for (i, &cur) in self.input_currents.iter().enumerate() {
+            if step_int(&mut mem[i], cur, c.theta, c.mode) {
+                out.set_linear(i);
+            }
+        }
+    }
+
+    /// One timestep of the spiking conv `c` (item `idx`) over its psums
+    /// (`[C_out, OH, OW]`): batch norm, then the activation into `out`.
+    pub fn conv(&mut self, idx: usize, c: &SnnConv, psums: &[i16], out: &mut SpikePlane) {
+        let per_ch = psums.len() / c.geom.out_channels;
+        let (oh, ow) = c.geom.out_hw();
+        out.reset(c.geom.out_channels, oh, ow);
+        let mem = &mut self.membranes[idx];
+        for (i, &p) in psums.iter().enumerate() {
+            let cur = add16(c.g[i / per_ch].mul_int(p), c.h[i / per_ch]);
+            if step_int(&mut mem[i], cur, c.theta, c.mode) {
+                out.set_linear(i);
+            }
+        }
+    }
+
+    /// Stores the batch-normed timestep-`t` currents of the psum stage `c`
+    /// until the closing [`IntDatapath::residual_add`].
+    pub fn store_psums(&mut self, c: &SnnConv, psums: &[i16], t: usize) {
+        let per_ch = psums.len() / c.geom.out_channels;
+        // Differently-sized psum stages share this buffer; under the
+        // chunked driver each stage revisits it every chunk (not only at
+        // t == 0), so re-shape whenever the frame geometry changes. Earlier
+        // frames are dead — the closing BlockAdd consumed them in-chunk.
+        let needed = self.run_timesteps * psums.len();
+        if psums.len() != self.pending_len || self.pending.len() != needed {
+            self.pending_len = psums.len();
+            scratch_resize(&mut self.pending, needed, 0);
+        }
+        let dst = &mut self.pending[t * self.pending_len..(t + 1) * self.pending_len];
+        for (i, &p) in psums.iter().enumerate() {
+            dst[i] = add16(c.g[i / per_ch].mul_int(p), c.h[i / per_ch]);
+        }
+    }
+
+    /// One timestep of the residual add `a` (item `idx`): the pending psum
+    /// frame of timestep `t` plus the skip branch's currents (its
+    /// downsample conv over `skip`, or `skip_add` per skip spike), then the
+    /// activation into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pending frame and the skip branch differ in size.
+    pub fn residual_add(
+        &mut self,
+        idx: usize,
+        a: &SnnAdd,
+        skip: &SpikePlane,
+        t: usize,
+        conv: &mut ConvScratch,
+        out: &mut SpikePlane,
+    ) {
+        out.reset(a.channels, a.h, a.w);
+        match &a.down {
+            Some(d) => {
+                let psums = conv_psums_int_plane(d, skip, conv, idx * 2 + 1);
+                assert_eq!(
+                    self.pending_len,
+                    psums.len(),
+                    "residual shape mismatch (pending {}, skip {})",
+                    self.pending_len,
+                    psums.len()
+                );
+                let per_ch = psums.len() / d.geom.out_channels;
+                let pending = &self.pending[t * self.pending_len..(t + 1) * self.pending_len];
+                let mem = &mut self.membranes[idx];
+                for (i, &p) in psums.iter().enumerate() {
+                    let skip_cur = add16(d.g[i / per_ch].mul_int(p), d.h[i / per_ch]);
+                    let cur = add16(pending[i], skip_cur);
+                    if step_int(&mut mem[i], cur, a.theta, a.mode) {
+                        out.set_linear(i);
+                    }
+                }
+            }
+            None => {
+                assert_eq!(
+                    self.pending_len,
+                    skip.len(),
+                    "residual shape mismatch (pending {}, skip {})",
+                    self.pending_len,
+                    skip.len()
+                );
+                let pending = &self.pending[t * self.pending_len..(t + 1) * self.pending_len];
+                let mem = &mut self.membranes[idx];
+                for (i, &pend) in pending.iter().enumerate() {
+                    let skip_cur = if skip.bit_linear(i) { a.skip_add } else { 0 };
+                    let cur = add16(pend, skip_cur);
+                    if step_int(&mut mem[i], cur, a.theta, a.mode) {
+                        out.set_linear(i);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Accumulates one timestep of INT8 classification evidence of head `l`.
+    pub fn head_accumulate(&mut self, l: &SnnLinear, spikes: &SpikePlane) {
+        let per_ch = l.in_h * l.in_w;
+        for (o, acc) in self.head_acc.iter_mut().enumerate() {
+            let mut a = 0i64;
+            spikes.for_each_set_linear(|i| {
+                a += i64::from(l.weights[o * l.channels + i / per_ch]);
+            });
+            *acc += a;
+        }
+    }
+
+    /// Writes head `l`'s float logits into `out`: the accumulated evidence
+    /// scaled back and time-averaged over `t_eff` timesteps.
+    pub fn head_readout_into(&self, l: &SnnLinear, t_eff: usize, out: &mut [f32]) {
+        for ((o, &a), &b) in out.iter_mut().zip(&self.head_acc).zip(&l.bias) {
+            *o = a as f32 * l.q.scale() / t_eff as f32 + b;
+        }
+    }
+
+    /// Membranes of item `idx` pinned at the 16-bit rails.
+    #[must_use]
+    pub fn saturated(&self, idx: usize) -> u64 {
+        self.membranes[idx]
+            .iter()
+            .filter(|&&m| m == i16::MAX || m == i16::MIN)
+            .count() as u64
+    }
+}
+
+/// Integer-datapath runner: the [`IntDatapath`] over psums from the shared
+/// INT8 kernels.
+#[derive(Debug)]
+pub struct IntRunner<'a> {
+    net: &'a SnnNetwork,
+    dp: IntDatapath,
+    conv: ConvScratch,
+    arenas: DriveScratch,
+}
+
+impl<'a> IntRunner<'a> {
+    /// Prepares runner state for `net`.
+    #[must_use]
+    pub fn new(net: &'a SnnNetwork) -> Self {
+        IntRunner {
+            net,
+            dp: IntDatapath::new(net),
             conv: ConvScratch::new(),
             arenas: DriveScratch::default(),
         }
@@ -776,14 +949,14 @@ impl<'a> IntRunner<'a> {
         self.run_with(image, timesteps, 0)
     }
 
-    /// Like [`IntRunner::run`] with readout burn-in (see [`drive`]).
+    /// Like [`IntRunner::run`] with readout burn-in (see [`drive_policy`]).
     ///
     /// # Panics
     ///
     /// Panics if `timesteps == 0` or `burn_in >= timesteps`.
     #[must_use]
     pub fn run_with(&mut self, image: &Tensor, timesteps: usize, burn_in: usize) -> SnnOutput {
-        drive(self, EngineInput::Image(image), timesteps, burn_in).0
+        self.run_policy(image, timesteps, burn_in, ExitPolicy::Fixed)
     }
 
     /// Runs on a DVS-style [`EventStream`] (event-driven first layer; the
@@ -801,7 +974,8 @@ impl<'a> IntRunner<'a> {
         timesteps: usize,
         burn_in: usize,
     ) -> SnnOutput {
-        drive(self, EngineInput::Events(events), timesteps, burn_in).0
+        let input = EngineInput::Events(events);
+        drive_policy(self, input, timesteps, burn_in, ExitPolicy::Fixed).0
     }
 
     /// Like [`IntRunner::run_with`] under a confidence-gated exit policy
@@ -846,162 +1020,55 @@ impl Engine for IntRunner<'_> {
     }
 
     fn begin_run(&mut self, timesteps: usize) {
-        for (item, mem) in self.net.items.iter().zip(&mut self.membranes) {
-            let theta = match item {
-                SnnItem::InputConv(c) | SnnItem::Conv(c) => c.theta,
-                SnnItem::BlockAdd(a) => a.theta,
-                _ => continue,
-            };
-            // θ/2 pre-charge (optimal initial potential for QCFS conversion)
-            mem.fill(theta / 2);
-        }
-        self.head_acc.fill(0);
-        self.input_currents.clear();
-        self.pending.clear();
-        self.pending_len = 0;
-        self.run_timesteps = timesteps;
+        self.dp.begin_run(self.net, timesteps);
     }
 
     fn step_input_conv(&mut self, idx: usize, codes: &[i8], t: usize, out: &mut SpikePlane) {
-        let net = self.net;
-        let SnnItem::InputConv(c) = &net.items[idx] else {
+        let SnnItem::InputConv(c) = &self.net.items[idx] else {
             unreachable!("step_input_conv on a non-input item")
         };
-        if t == 0 {
-            let psums = conv_psums_dense_into(c, codes, &mut self.conv);
-            let per_ch = psums.len() / c.geom.out_channels;
-            scratch_resize(&mut self.input_currents, psums.len(), 0);
-            for (i, &p) in psums.iter().enumerate() {
-                self.input_currents[i] = add16(c.g[i / per_ch].mul_int_wide(p), c.h[i / per_ch]);
-            }
-        }
-        let (oh, ow) = c.geom.out_hw();
-        out.reset(c.geom.out_channels, oh, ow);
-        let mem = &mut self.membranes[idx];
-        for (i, &cur) in self.input_currents.iter().enumerate() {
-            if step_int(&mut mem[i], cur, c.theta, c.mode) {
-                out.set_linear(i);
-            }
-        }
+        self.dp.input_conv(idx, c, codes, t, &mut self.conv, out);
     }
 
     fn step_conv(&mut self, idx: usize, spikes: &SpikePlane, _t: usize, out: &mut SpikePlane) {
-        let net = self.net;
-        let SnnItem::Conv(c) = &net.items[idx] else {
+        let SnnItem::Conv(c) = &self.net.items[idx] else {
             unreachable!("step_conv on a non-conv item")
         };
         let psums = conv_psums_int_plane(c, spikes, &mut self.conv, idx * 2);
-        let per_ch = psums.len() / c.geom.out_channels;
-        let (oh, ow) = c.geom.out_hw();
-        out.reset(c.geom.out_channels, oh, ow);
-        let mem = &mut self.membranes[idx];
-        for (i, &p) in psums.iter().enumerate() {
-            let cur = add16(c.g[i / per_ch].mul_int(p), c.h[i / per_ch]);
-            if step_int(&mut mem[i], cur, c.theta, c.mode) {
-                out.set_linear(i);
-            }
-        }
+        self.dp.conv(idx, c, psums, out);
     }
 
     fn step_conv_psum(&mut self, idx: usize, spikes: &SpikePlane, t: usize) {
-        let net = self.net;
-        let SnnItem::ConvPsum(c) = &net.items[idx] else {
+        let SnnItem::ConvPsum(c) = &self.net.items[idx] else {
             unreachable!("step_conv_psum on a non-psum item")
         };
         let psums = conv_psums_int_plane(c, spikes, &mut self.conv, idx * 2);
-        let per_ch = psums.len() / c.geom.out_channels;
-        // Differently-sized psum stages share this buffer; under the
-        // chunked driver each stage revisits it every chunk (not only at
-        // t == 0), so re-shape whenever the frame geometry changes. Earlier
-        // frames are dead — the closing BlockAdd consumed them in-chunk.
-        let needed = self.run_timesteps * psums.len();
-        if psums.len() != self.pending_len || self.pending.len() != needed {
-            self.pending_len = psums.len();
-            scratch_resize(&mut self.pending, needed, 0);
-        }
-        let dst = &mut self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-        for (i, &p) in psums.iter().enumerate() {
-            dst[i] = add16(c.g[i / per_ch].mul_int(p), c.h[i / per_ch]);
-        }
+        self.dp.store_psums(c, psums, t);
     }
 
     fn step_block_add(&mut self, idx: usize, skip: &SpikePlane, t: usize, out: &mut SpikePlane) {
-        let net = self.net;
-        let SnnItem::BlockAdd(a) = &net.items[idx] else {
+        let SnnItem::BlockAdd(a) = &self.net.items[idx] else {
             unreachable!("step_block_add on a non-add item")
         };
-        out.reset(a.channels, a.h, a.w);
-        match &a.down {
-            Some(d) => {
-                let psums = conv_psums_int_plane(d, skip, &mut self.conv, idx * 2 + 1);
-                assert_eq!(
-                    self.pending_len,
-                    psums.len(),
-                    "residual shape mismatch (pending {}, skip {})",
-                    self.pending_len,
-                    psums.len()
-                );
-                let per_ch = psums.len() / d.geom.out_channels;
-                let pending = &self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-                let mem = &mut self.membranes[idx];
-                for (i, &p) in psums.iter().enumerate() {
-                    let skip_cur = add16(d.g[i / per_ch].mul_int(p), d.h[i / per_ch]);
-                    let cur = add16(pending[i], skip_cur);
-                    if step_int(&mut mem[i], cur, a.theta, a.mode) {
-                        out.set_linear(i);
-                    }
-                }
-            }
-            None => {
-                assert_eq!(
-                    self.pending_len,
-                    skip.len(),
-                    "residual shape mismatch (pending {}, skip {})",
-                    self.pending_len,
-                    skip.len()
-                );
-                let pending = &self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-                let mem = &mut self.membranes[idx];
-                for (i, &pend) in pending.iter().enumerate() {
-                    let skip_cur = if skip.bit_linear(i) { a.skip_add } else { 0 };
-                    let cur = add16(pend, skip_cur);
-                    if step_int(&mut mem[i], cur, a.theta, a.mode) {
-                        out.set_linear(i);
-                    }
-                }
-            }
-        }
+        self.dp.residual_add(idx, a, skip, t, &mut self.conv, out);
     }
 
     fn head_accumulate(&mut self, idx: usize, spikes: &SpikePlane) {
-        let net = self.net;
-        let SnnItem::Head(l) = &net.items[idx] else {
+        let SnnItem::Head(l) = &self.net.items[idx] else {
             unreachable!("head_accumulate on a non-head item")
         };
-        let per_ch = l.in_h * l.in_w;
-        for (o, acc) in self.head_acc.iter_mut().enumerate() {
-            let mut a = 0i64;
-            spikes.for_each_set_linear(|i| {
-                a += i64::from(l.weights[o * l.channels + i / per_ch]);
-            });
-            *acc += a;
-        }
+        self.dp.head_accumulate(l, spikes);
     }
 
     fn head_readout_into(&self, idx: usize, t_eff: usize, out: &mut [f32]) {
         let SnnItem::Head(l) = &self.net.items[idx] else {
             unreachable!("head_readout on a non-head item")
         };
-        for ((o, &a), &b) in out.iter_mut().zip(&self.head_acc).zip(&l.bias) {
-            *o = a as f32 * l.q.scale() / t_eff as f32 + b;
-        }
+        self.dp.head_readout_into(l, t_eff, out);
     }
 
     fn saturated_membranes(&self, idx: usize) -> u64 {
-        self.membranes[idx]
-            .iter()
-            .filter(|&&m| m == i16::MAX || m == i16::MIN)
-            .count() as u64
+        self.dp.saturated(idx)
     }
 
     fn stage_taps(&mut self, _idx: usize) -> Option<(u64, u64)> {
@@ -1073,7 +1140,7 @@ impl<'a> FloatRunner<'a> {
     /// Panics if `timesteps == 0` or `burn_in >= timesteps`.
     #[must_use]
     pub fn run_with(&mut self, image: &Tensor, timesteps: usize, burn_in: usize) -> SnnOutput {
-        drive(self, EngineInput::Image(image), timesteps, burn_in).0
+        self.run_policy(image, timesteps, burn_in, ExitPolicy::Fixed)
     }
 
     /// Float-reference twin of [`IntRunner::run_events`].
@@ -1088,7 +1155,8 @@ impl<'a> FloatRunner<'a> {
         timesteps: usize,
         burn_in: usize,
     ) -> SnnOutput {
-        drive(self, EngineInput::Events(events), timesteps, burn_in).0
+        let input = EngineInput::Events(events);
+        drive_policy(self, input, timesteps, burn_in, ExitPolicy::Fixed).0
     }
 
     /// Float-reference twin of [`IntRunner::run_policy`].

@@ -60,7 +60,7 @@
 //! or a real accumulator of a later column or row — that accumulator's
 //! value and the order of its real taps are untouched. Real weights only
 //! land in a padding column when their output column is out of range, and
-//! padding columns are never read. The scalar [`scatter`] (per-tap adds
+//! padding columns are never read. The scalar `scatter` (per-tap adds
 //! over `[(ci, ky, kx), co]`-transposed weights) is kept as the
 //! iteration-order oracle; the equivalence with it and with the byte
 //! reference is enforced bit-for-bit by proptests
@@ -69,7 +69,7 @@
 //! ## Word-level parallelism
 //!
 //! A run is a whole number of [`LANES`]-wide blocks, so every add is
-//! blocked ([`add_weight_lanes`]) and none falls to a scalar tail, whatever
+//! blocked (`add_weight_lanes`) and none falls to a scalar tail, whatever
 //! `C_out`: narrow layers fill their lanes with adjacent output columns
 //! (`C_out = 8`: two blocks per kernel row instead of three 8-lane scalar
 //! tails). Each lane is a *different* accumulator, so blocking never

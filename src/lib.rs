@@ -3,7 +3,7 @@
 //! Re-exports the whole reproduction pipeline. See the member crates for
 //! details: `sia-tensor`/`sia-nn` (training substrate), `sia-quant`
 //! (quantisation), `sia-snn` (conversion, the unified [`snn::Engine`] /
-//! [`snn::drive`] inference layer and the multi-threaded
+//! [`snn::drive_policy`] inference layer and the multi-threaded
 //! [`snn::BatchEvaluator`]), `sia-accel` (the cycle-level Spiking Inference
 //! Accelerator, itself an `Engine` backend), `sia-hwmodel` (FPGA
 //! resource/power models and prior-art baselines), `sia-check` (static

@@ -27,7 +27,9 @@
 use sia_accel::{compile_for, SiaConfig, SiaMachine};
 use sia_check::check_network;
 use sia_nn::{ActSpec, BnSpec, ConvSpec, LinearSpec, NetworkSpec, SpecItem};
-use sia_snn::{convert, drive, ConvertOptions, EngineInput, FloatRunner, IntRunner};
+use sia_snn::{
+    convert, drive_policy, ConvertOptions, EngineInput, ExitPolicy, FloatRunner, IntRunner,
+};
 use sia_tensor::{Conv2dGeom, Tensor};
 
 const T: usize = 8;
@@ -138,7 +140,13 @@ fn image(seed: usize) -> Tensor {
 fn run_int(net: &sia_snn::SnnNetwork, img: &Tensor) -> (Vec<f32>, u64) {
     let before = sia_telemetry::snapshot().counter("snn.membrane.saturated");
     let mut runner = IntRunner::new(net);
-    let (out, ()) = drive(&mut runner, EngineInput::Image(img), T, 0);
+    let (out, ()) = drive_policy(
+        &mut runner,
+        EngineInput::Image(img),
+        T,
+        0,
+        ExitPolicy::Fixed,
+    );
     let after = sia_telemetry::snapshot().counter("snn.membrane.saturated");
     (out.logits_per_t.last().unwrap().clone(), after - before)
 }
@@ -182,9 +190,21 @@ fn backends_agree_on_the_proven_model() {
         let img = image(seed);
         let (int_logits, _) = run_int(&net, &img);
         let mut float = FloatRunner::new(&net);
-        let (fout, ()) = drive(&mut float, EngineInput::Image(&img), T, 0);
+        let (fout, ()) = drive_policy(
+            &mut float,
+            EngineInput::Image(&img),
+            T,
+            0,
+            ExitPolicy::Fixed,
+        );
         let mut machine = SiaMachine::new(program.clone(), cfg.clone());
-        let (aout, _report) = drive(&mut machine, EngineInput::Image(&img), T, 0);
+        let (aout, _report) = drive_policy(
+            &mut machine,
+            EngineInput::Image(&img),
+            T,
+            0,
+            ExitPolicy::Fixed,
+        );
         let accel_logits = aout.logits_per_t.last().unwrap();
         // int and accel share the datapath bit for bit; float agrees on the
         // decision for this well-conditioned model

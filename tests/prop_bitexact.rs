@@ -8,10 +8,10 @@ use sia_accel::{compile_for, read_image, write_image, SiaConfig, SiaEngineFactor
 use sia_nn::{ActSpec, BnSpec, ConvSpec, LinearSpec, NetworkSpec, SpecItem};
 use sia_snn::encode::rate_encode;
 use sia_snn::{
-    conv_psums_f32, conv_psums_f32_plane, conv_psums_int, conv_psums_int_plane, convert, drive,
-    BatchEvaluator, ConvScratch, ConvertOptions, EngineInput, EvalConfig, EvalEncoding,
-    FloatEngineFactory, FloatRunner, InputEncoding, IntEngineFactory, IntRunner, SnnItem,
-    SpikePlane,
+    conv_psums_f32, conv_psums_f32_plane, conv_psums_int, conv_psums_int_plane, convert,
+    drive_policy, BatchEvaluator, ConvScratch, ConvertOptions, EngineInput, EvalConfig,
+    EvalEncoding, ExitPolicy, FloatEngineFactory, FloatRunner, InputEncoding, IntEngineFactory,
+    IntRunner, SnnItem, SpikePlane,
 };
 use sia_tensor::{Conv2dGeom, Tensor};
 use std::sync::Arc;
@@ -254,7 +254,7 @@ proptest! {
 
     #[test]
     fn all_backends_agree_through_the_shared_driver(p in params_strategy()) {
-        // Dense input with a non-zero burn-in: the same `drive` loop runs
+        // Dense input with a non-zero burn-in: the same `drive_policy` loop runs
         // all three backends, and the two integer datapaths (functional
         // simulator and cycle-level machine) must stay bit-exact.
         let spec = build_spec(&p);
@@ -263,14 +263,15 @@ proptest! {
         let program = compile_for(&net, &cfg, 4).expect("compiles");
         let img = image_for(&p);
         let (float_out, ()) =
-            drive(&mut FloatRunner::new(&net), EngineInput::Image(&img), 4, 1);
+            drive_policy(&mut FloatRunner::new(&net), EngineInput::Image(&img), 4, 1, ExitPolicy::Fixed);
         let (int_out, ()) =
-            drive(&mut IntRunner::new(&net), EngineInput::Image(&img), 4, 1);
-        let (hw_out, report) = drive(
+            drive_policy(&mut IntRunner::new(&net), EngineInput::Image(&img), 4, 1, ExitPolicy::Fixed);
+        let (hw_out, report) = drive_policy(
             &mut SiaMachine::new(program, cfg),
             EngineInput::Image(&img),
             4,
             1,
+            ExitPolicy::Fixed,
         );
         prop_assert_eq!(&hw_out.logits_per_t, &int_out.logits_per_t);
         prop_assert_eq!(&hw_out.stats.spikes, &int_out.stats.spikes);
